@@ -388,10 +388,7 @@ func BenchmarkSessionStreamSweep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				grid := streamBenchGrid(b, size.step)
-				// Lean generation feeds the run-batched evaluator — the
-				// production configuration of a total-cost sweep
-				// (config.Source compiles scenarios the same way).
-				src, err := SweepSource(grid.Points().Lean(), QuestionTotalCost, PerSystemUnit)
+				src, err := SweepSource(grid.Points(), QuestionTotalCost, PerSystemUnit)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -100,18 +100,6 @@ func (r StreamRequest) config() (actuary.ScenarioConfig, error) {
 	return cfg, nil
 }
 
-// StreamScenario streams a bare scenario through any Backend — the
-// pre-StreamRequest call shape, kept so existing callers migrate by
-// search-and-replace instead of redesign. Scenario-embedded shard and
-// resume fields are honored exactly as before.
-//
-// Deprecated: call b.Stream(ctx, StreamRequest{Scenario: cfg})
-// directly; put sharding, resumption and ordering in the
-// StreamRequest fields instead of the scenario document.
-func StreamScenario(ctx context.Context, b Backend, cfg actuary.ScenarioConfig) (<-chan actuary.Result, error) {
-	return b.Stream(ctx, StreamRequest{Scenario: cfg})
-}
-
 // Client speaks the wire protocol to one actuaryd base URL.
 type Client struct {
 	base string

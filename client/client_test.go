@@ -379,14 +379,14 @@ func TestStreamRequestFields(t *testing.T) {
 	}
 }
 
-// TestStreamScenarioWrapper keeps the deprecated call shape working:
-// StreamScenario(ctx, b, cfg) is Stream with a bare StreamRequest,
-// scenario-embedded fields honored as before.
-func TestStreamScenarioWrapper(t *testing.T) {
+// TestStreamEmbeddedResume keeps the pre-StreamRequest call shape
+// working: a bare StreamRequest{Scenario: cfg} honors the
+// scenario-embedded resume field as before.
+func TestStreamEmbeddedResume(t *testing.T) {
 	_, local := newBackends(t)
 	cfg := testScenario()
 	cfg.Resume = &actuary.StreamResume{NextIndex: 4}
-	ch, err := client.StreamScenario(context.Background(), local, cfg)
+	ch, err := local.Stream(context.Background(), client.StreamRequest{Scenario: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,6 +398,6 @@ func TestStreamScenarioWrapper(t *testing.T) {
 		out = append(out, r)
 	}
 	if len(out) != 2 || out[0].Index != 4 {
-		t.Fatalf("wrapper stream yields %+v", out)
+		t.Fatalf("bare-scenario stream yields %+v", out)
 	}
 }

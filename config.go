@@ -751,18 +751,7 @@ func (c *chainSource) Next() (Request, bool) {
 // server's /v1/stream) ride slab dispatch. Slabs simply concatenate
 // the stage walk — crossing stage boundaries mid-slab is fine because
 // a slab is only a dispatch batch, never a semantic unit.
-func (c *chainSource) NextSlab(dst []Request) int {
-	n := 0
-	for n < len(dst) {
-		r, ok := c.Next()
-		if !ok {
-			break
-		}
-		dst[n] = r
-		n++
-	}
-	return n
-}
+func (c *chainSource) NextSlab(dst []Request) int { return fillSlab(c, dst) }
 
 // systemsStage yields every per-system question of every explicit
 // system, in scenario order, dealt through the shard stripe. The
@@ -981,16 +970,7 @@ func (cs compiledSweep) stage(q Question, policy AmortizationPolicy, shard shard
 	return func() RequestSource {
 		switch {
 		case perSystemQuestion(q):
-			gen := cs.shardPoints(shard)
-			if q == QuestionTotalCost {
-				// Total-cost sweeps take the run-batched stream path,
-				// which needs only the scalar axes; the generator skips
-				// per-point system construction (the built-in prune
-				// filter reads scalars, so it survives Lean). RE and
-				// wafers still walk materialized systems.
-				gen.Lean()
-			}
-			src, err := SweepSource(gen, q, policy)
+			src, err := SweepSource(cs.shardPoints(shard), q, policy)
 			if err != nil { // unreachable: the grid was validated in compile
 				return sourceFunc(func() (Request, bool) { return Request{}, false })
 			}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"chipletactuary"
 	"chipletactuary/client"
@@ -127,15 +128,21 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 }
 
 // flakyBackend passes through okCalls evaluations, then fails every
-// later one with a transport error — a backend dying mid-sweep.
+// later one with a transport error — a backend dying mid-sweep. failed,
+// when non-nil, is closed on the first failure.
 type flakyBackend struct {
 	inner   client.Backend
 	okCalls int32
 	calls   atomic.Int32
+	failed  chan struct{}
+	once    sync.Once
 }
 
 func (f *flakyBackend) Evaluate(ctx context.Context, reqs []actuary.Request) ([]actuary.Result, error) {
 	if f.calls.Add(1) > f.okCalls {
+		if f.failed != nil {
+			f.once.Do(func() { close(f.failed) })
+		}
 		return nil, &actuary.Error{Code: actuary.ErrTransport, Index: -1, Question: -1,
 			Err: errors.New("backend went away")}
 	}
@@ -146,14 +153,34 @@ func (f *flakyBackend) Stream(ctx context.Context, req client.StreamRequest) (<-
 	return f.inner.Stream(ctx, req)
 }
 
+// heldBackend holds each evaluation until release closes. The wait is
+// bounded, so a fault that never fires fails the test instead of
+// hanging it.
+type heldBackend struct {
+	client.Backend
+	release <-chan struct{}
+}
+
+func (h heldBackend) Evaluate(ctx context.Context, reqs []actuary.Request) ([]actuary.Result, error) {
+	select {
+	case <-h.release:
+	case <-ctx.Done():
+	case <-time.After(10 * time.Second):
+	}
+	return h.Backend.Evaluate(ctx, reqs)
+}
+
 func TestCoordinatorReassignsFailedShard(t *testing.T) {
 	grid := testGrid()
 	req := actuary.Request{Question: actuary.QuestionSweepBest, Grid: &grid, TopK: 5}
 	want := singleProcessBest(t, req)
 	// Backend 1 dies after its first shard; its remaining shards must
-	// drain through backend 0.
-	flaky := &flakyBackend{inner: client.Local(newSession(t)), okCalls: 1}
-	coord, err := New([]client.Backend{client.Local(newSession(t)), flaky}, WithShards(6))
+	// drain through backend 0. Backend 0 is held until backend 1 has
+	// failed, so it cannot drain every shard before the fault fires.
+	failed := make(chan struct{})
+	flaky := &flakyBackend{inner: client.Local(newSession(t)), okCalls: 1, failed: failed}
+	healthy := heldBackend{Backend: client.Local(newSession(t)), release: failed}
+	coord, err := New([]client.Backend{healthy, flaky}, WithShards(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +330,13 @@ func TestCoordinatorOverDaemons(t *testing.T) {
 	// Daemon 2 dies mid-sweep: after its first answered shard, every
 	// later call fails at the socket. The coordinator must reassign
 	// the lost shards to daemon 1 and still produce the exact answer.
+	// Daemon 1 is held until daemon 2 has died, so it cannot drain
+	// every shard before the failure.
 	ts3, c3 := daemon()
+	died := make(chan struct{})
 	var once sync.Once
-	dying := &dyingBackend{inner: c3, kill: func() { once.Do(ts3.Close) }}
-	coord, err = New([]client.Backend{c1, dying}, WithShards(6))
+	dying := &dyingBackend{inner: c3, kill: func() { once.Do(func() { ts3.Close(); close(died) }) }}
+	coord, err = New([]client.Backend{heldBackend{Backend: c1, release: died}, dying}, WithShards(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,11 +163,14 @@ func TestStreamRandomGridsProperty(t *testing.T) {
 }
 
 // truncatingBackend cuts every stream after `after` results — a
-// daemon whose connection keeps dying mid-response.
+// daemon whose connection keeps dying mid-response. cut, when
+// non-nil, is closed on the first cut.
 type truncatingBackend struct {
 	inner client.Backend
 	after int
 	cuts  atomic.Int32
+	cut   chan struct{}
+	once  sync.Once
 }
 
 func (b *truncatingBackend) Evaluate(ctx context.Context, reqs []actuary.Request) ([]actuary.Result, error) {
@@ -188,6 +192,9 @@ func (b *truncatingBackend) Stream(ctx context.Context, req client.StreamRequest
 		for r := range ch {
 			if sent >= b.after {
 				b.cuts.Add(1)
+				if b.cut != nil {
+					b.once.Do(func() { close(b.cut) })
+				}
 				cancel()
 				for range ch { // drain the canceled remainder
 				}
@@ -204,6 +211,23 @@ func (b *truncatingBackend) Stream(ctx context.Context, req client.StreamRequest
 	return out, nil
 }
 
+// heldBackend holds each stream until release closes. The wait is
+// bounded, so a fault that never fires fails the test instead of
+// hanging it.
+type heldBackend struct {
+	client.Backend
+	release <-chan struct{}
+}
+
+func (h heldBackend) Stream(ctx context.Context, req client.StreamRequest) (<-chan actuary.Result, error) {
+	select {
+	case <-h.release:
+	case <-ctx.Done():
+	case <-time.After(10 * time.Second):
+	}
+	return h.Backend.Stream(ctx, req)
+}
+
 // TestStreamSurvivesTruncatingBackend: shards lost to a backend whose
 // streams keep dying are re-dispatched from their watermark on the
 // healthy backend, and the merged stream still matches the
@@ -212,14 +236,19 @@ func TestStreamSurvivesTruncatingBackend(t *testing.T) {
 	cfg := streamScenario()
 	want := singleBackendStream(t, cfg)
 	reg := NewRegistry()
-	flaky := &truncatingBackend{inner: client.Local(newSession(t)), after: 2}
+	// The solid backend is held until the flaky one has cut a stream,
+	// so it cannot drain every shard before the fault fires. Speculation
+	// is off so that, once released, it cannot win a cut shard before
+	// the cut is requeued.
+	cut := make(chan struct{})
+	flaky := &truncatingBackend{inner: client.Local(newSession(t)), after: 2, cut: cut}
 	if err := reg.Add("flaky", flaky); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Add("solid", client.Local(newSession(t))); err != nil {
+	if err := reg.Add("solid", heldBackend{Backend: client.Local(newSession(t)), release: cut}); err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewStream(reg, WithShards(4))
+	coord, err := NewStream(reg, WithShards(4), WithSpeculation(false))
 	if err != nil {
 		t.Fatal(err)
 	}

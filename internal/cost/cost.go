@@ -334,92 +334,6 @@ func (e *Engine) reUniform(s system.System, u system.Uniform) (Breakdown, error)
 	return b, nil
 }
 
-// dieCostLean is dieCost for the run-batched sweep path: the same
-// cache key, probe order and arithmetic for a salvage-free die,
-// without a Chiplet. The Name field is left empty — the caller stamps
-// per-die names into its own backing. ok = false covers every dieCost
-// error (unknown node, die too large for the wafer); the caller falls
-// back to the materialized path, which reproduces the exact error.
-func (e *Engine) dieCostLean(nodeName string, areaMM2 float64, tally *cacheTally) (DieCost, bool) {
-	key := DieKey{Node: nodeName, AreaMM2: areaMM2}
-	if e.cache != nil {
-		if v, ok := e.cache.Peek(key); ok {
-			tally.hits++
-			return DieCost{Node: nodeName, AreaMM2: areaMM2,
-				Raw: v.raw, Yield: v.yield, KGD: v.kgd}, true
-		}
-		tally.misses++
-	}
-	node, err := e.db.Node(nodeName)
-	if err != nil {
-		return DieCost{}, false
-	}
-	perDie, err := e.params.Wafer.CostPerRawDie(e.params.Estimator, node.WaferCost, areaMM2)
-	if err != nil {
-		return DieCost{}, false
-	}
-	raw := perDie + (node.BumpCostPerMM2+node.SortCostPerMM2)*areaMM2
-	y := node.Yield(areaMM2)
-	kgd := raw / y
-	e.cache.Put(key, dieValue{raw: raw, yield: y, kgd: kgd})
-	return DieCost{Node: nodeName, AreaMM2: areaMM2, Raw: raw, Yield: y, KGD: kgd}, true
-}
-
-// REUniformLean evaluates the RE breakdown of a salvage-free uniform
-// k-way partition without a System — the run-batched sweep evaluator's
-// entry point. It reproduces reUniform's probe order, cache accounting
-// and arithmetic bit for bit; names[i] becomes Dies[i].Name and dies
-// (len ≥ u.K) is the caller-provided backing for the per-die detail,
-// so the hot path allocates nothing here. ok = false covers every
-// reUniform error plus its reSlow fallback (pathological negative die
-// cost); the caller falls back to the materialized path, which
-// reproduces the exact error message or slow-path result.
-func (e *Engine) REUniformLean(nodeName string, scheme packaging.Scheme, flow packaging.Flow, quantity float64, u system.Uniform, names []string, dies []DieCost) (Breakdown, bool) {
-	if _, err := e.db.Node(nodeName); err != nil {
-		return Breakdown{}, false
-	}
-	if quantity < 0 {
-		return Breakdown{}, false
-	}
-	var tally cacheTally
-	dc, ok := e.dieCostLean(nodeName, u.DieAreaMM2, &tally)
-	if !ok || !(dc.KGD >= 0) {
-		return Breakdown{}, false
-	}
-	// One probe stood in for k identical dies; account as the per-die
-	// walk would have: the first outcome plus k−1 hits.
-	tally.hits += int64(u.K - 1)
-	e.cache.Note(tally.hits, tally.misses)
-
-	k := u.K
-	b := Breakdown{Dies: dies[:k:k]}
-	var totalArea, totalKGD float64
-	for i := 0; i < k; i++ {
-		d := dc
-		d.Name = names[i]
-		b.Dies[i] = d
-		b.RawChips += dc.Raw
-		b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
-		totalArea += dc.AreaMM2
-		totalKGD += dc.KGD
-	}
-	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, packaging.PartialKey{
-		Scheme:          scheme,
-		Flow:            flow,
-		Dies:            k,
-		TotalDieAreaMM2: totalArea,
-	})
-	if err != nil {
-		return Breakdown{}, false
-	}
-	pkg := pt.Apply(totalKGD)
-	b.Packaging = pkg
-	b.RawPackage = pkg.RawPackage
-	b.PackageDefects = pkg.PackageDefects
-	b.WastedKGD = pkg.WastedKGD
-	return b, true
-}
-
 // reSlow is the general per-placement walk.
 func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 	if err := s.Validate(e.db); err != nil {

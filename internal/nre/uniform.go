@@ -154,8 +154,7 @@ func (e *Engine) EvaluateUniform(s system.System, u system.Uniform, policy Polic
 }
 
 // amortizeUniform spreads a cached uniform entry's per-design costs
-// over the production volume — the shared tail of EvaluateUniform and
-// EvaluateUniformLean, so the two cannot drift apart bit-wise.
+// over the production volume.
 func amortizeUniform(ent uniformEntry, k int, q float64, policy Policy) Breakdown {
 	var b Breakdown
 	switch policy {
@@ -194,33 +193,4 @@ func amortizeUniform(ent uniformEntry, k int, q float64, policy Policy) Breakdow
 		b.Packages += ent.pkgCost / q
 	}
 	return b
-}
-
-// EvaluateUniformLean is EvaluateUniform for callers that never built
-// the System — the run-batched sweep evaluator, which carries only the
-// scalar axes. It shares the memo table and every arithmetic
-// expression with EvaluateUniform, so a true return is bit-identical
-// to what EvaluateUniform would have produced. On any error condition
-// (unknown node, non-positive quantity, package geometry failure) it
-// reports ok = false without constructing the error; the caller falls
-// back to the materialized path, which reproduces the exact error
-// message and ordering.
-func (e *Engine) EvaluateUniformLean(scheme packaging.Scheme, flow packaging.Flow, quantity float64, u system.Uniform, policy Policy) (Breakdown, bool) {
-	key := uniformKey{
-		node:       u.Node,
-		scheme:     scheme,
-		flow:       flow,
-		k:          u.K,
-		moduleArea: u.ModuleAreaMM2,
-		d2dArea:    u.D2DAreaMM2,
-	}
-	ent, ok := e.uni.Get(key)
-	if !ok {
-		ent = e.computeUniform(key)
-		e.uni.Put(key, ent)
-	}
-	if ent.nodeErr != nil || ent.pkgErr != nil || quantity <= 0 {
-		return Breakdown{}, false
-	}
-	return amortizeUniform(ent, u.K, quantity, policy), true
 }

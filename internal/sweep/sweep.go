@@ -398,9 +398,6 @@ func (g Grid) Points(filters ...Filter) *Generator {
 // Grid returns the grid this generator walks.
 func (it *Generator) Grid() Grid { return it.grid }
 
-// D2D returns the generator's die-to-die overhead model (never nil).
-func (it *Generator) D2D() dtod.Overhead { return it.d2d }
-
 // Lean switches the generator to scalar-only generation: Next leaves
 // Point.System zero instead of building the equal-partition system,
 // which removes every per-point allocation except the ID string. The
@@ -584,37 +581,6 @@ func (it *Generator) NextSlab(dst []Point) int {
 		n++
 	}
 	return n
-}
-
-// Run delimits a maximal stretch of consecutive slab points sharing
-// the axes a run-batched evaluator can hoist out of its inner loop:
-// node, effective scheme and quantity. Because the odometer spins
-// count fastest, the points inside a run differ only in area and
-// count, so the node lookup, scheme factors and amortization
-// denominators are loop-invariant across it.
-type Run struct {
-	// Start indexes the run's first point in the slab passed to Runs;
-	// Len is the number of points it spans.
-	Start, Len int
-}
-
-// Runs splits a slab — any consecutive stretch of generated points,
-// typically one NextSlab fill — into runs, appending to dst so the
-// caller can reuse one backing array across slabs and keep the hot
-// path allocation-free in steady state.
-func Runs(points []Point, dst []Run) []Run {
-	for i := 0; i < len(points); {
-		j := i + 1
-		for j < len(points) &&
-			points[j].Node == points[i].Node &&
-			points[j].Scheme == points[i].Scheme &&
-			points[j].Quantity == points[i].Quantity {
-			j++
-		}
-		dst = append(dst, Run{Start: i, Len: j - i})
-		i = j
-	}
-	return dst
 }
 
 // LastCandidate returns the odometer-order candidate number of the

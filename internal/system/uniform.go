@@ -24,11 +24,6 @@ type Uniform struct {
 // any shape.
 const uniformMaxK = 64
 
-// UniformMaxK is the widest partition AsUniform accepts, exported so
-// fast paths built on the uniform shape (the run-batched sweep
-// evaluator) bail out to the general path at exactly the same width.
-const UniformMaxK = uniformMaxK
-
 // AsUniform reports whether s is a uniform k-way system the engines
 // can evaluate on the closed-form fast path. The detection is
 // deliberately conservative: any shape it cannot prove equivalent —

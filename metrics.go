@@ -90,48 +90,29 @@ func updateMax(m *atomic.Int64, v int64) {
 	}
 }
 
-// enqueued records one request about to enter the job queue. It runs
-// before the channel send so the worker-side decrement can never win
-// the race and drive the gauge negative.
-func (m *sessionMetrics) enqueued() {
-	depth := m.queueDepth.Add(1)
-	updateMax(&m.queueDepthMax, depth)
-	m.queueSamples.Add(1)
-	m.queueSum.Add(depth)
-}
-
-// enqueueAborted rolls back an enqueued() whose send was abandoned on
-// cancellation (the sample stays: it observed a real depth).
-func (m *sessionMetrics) enqueueAborted() {
-	m.queueDepth.Add(-1)
-}
-
-// enqueuedSlab is enqueued() for a slab of n requests: the gauge
-// moves once and each request records the post-add depth as its
-// sample, so MeanQueueDepth stays comparable with point dispatch
-// without n round trips through the atomics.
-func (m *sessionMetrics) enqueuedSlab(n int) {
+// enqueued records a slab of n requests about to enter the job queue.
+// It runs before the channel send so the worker-side decrement can
+// never win the race and drive the gauge negative. The gauge moves
+// once and each request records the post-add depth as its sample, so
+// MeanQueueDepth means the same whatever the slab size.
+func (m *sessionMetrics) enqueued(n int) {
 	depth := m.queueDepth.Add(int64(n))
 	updateMax(&m.queueDepthMax, depth)
 	m.queueSamples.Add(int64(n))
 	m.queueSum.Add(int64(n) * depth)
 }
 
-func (m *sessionMetrics) enqueueAbortedSlab(n int) {
+// enqueueAborted rolls back an enqueued(n) whose send was abandoned on
+// cancellation (the samples stay: they observed a real depth).
+func (m *sessionMetrics) enqueueAborted(n int) {
 	m.queueDepth.Add(int64(-n))
 }
 
-// dequeuedSlab moves the queue gauge for a whole slab at once; the
-// per-request finished() calls still retire inFlight one at a time.
-func (m *sessionMetrics) dequeuedSlab(n int) {
+// dequeued records a worker picking up a slab of n requests; the
+// per-request finished() calls retire inFlight one at a time.
+func (m *sessionMetrics) dequeued(n int) {
 	m.queueDepth.Add(int64(-n))
 	updateMax(&m.inFlightMax, m.inFlight.Add(int64(n)))
-}
-
-// dequeued records a worker picking a request up.
-func (m *sessionMetrics) dequeued() {
-	m.queueDepth.Add(-1)
-	updateMax(&m.inFlightMax, m.inFlight.Add(1))
 }
 
 // finished records one evaluated request: its latency, outcome and
@@ -149,29 +130,6 @@ func (m *sessionMetrics) finished(q Question, d time.Duration, failed bool) {
 	}
 	qc.nanos.Add(int64(d))
 	updateMax(&qc.maxNanos, int64(d))
-}
-
-// finishedRun records a run of n same-question requests evaluated in
-// one batch: the gauges and counters move once for the lot. Run timing
-// is not resolved per request, so the max-latency tracker observes the
-// run's per-request mean — an underestimate for a run with one
-// outlier, but run points are homogeneous by construction.
-func (m *sessionMetrics) finishedRun(q Question, total time.Duration, n, failures int) {
-	if n <= 0 {
-		return
-	}
-	m.inFlight.Add(int64(-n))
-	m.busyNanos.Add(int64(total))
-	if q < 0 || int(q) >= questionCount {
-		return
-	}
-	qc := &m.perQuestion[q]
-	qc.count.Add(int64(n))
-	if failures > 0 {
-		qc.failures.Add(int64(failures))
-	}
-	qc.nanos.Add(int64(total))
-	updateMax(&qc.maxNanos, int64(total)/int64(n))
 }
 
 // QuestionMetrics is the latency profile of one question kind.

@@ -25,10 +25,14 @@
 # re-running this script on the same machine and comparing (CI runs a
 # coarse 25% gate against a cache-kept baseline; see bench-smoke).
 #
-# Usage: scripts/bench-baseline.sh [OUTPUT.json]
+# Usage: scripts/bench-baseline.sh OUTPUT.json
 set -euo pipefail
 
-out=${1:-BENCH_PR9.json}
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 OUTPUT.json" >&2
+  exit 2
+fi
+out=$1
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 

@@ -490,17 +490,11 @@ func (s *Session) Evaluate(ctx context.Context, reqs []Request) []Result {
 
 // fail builds the structured-error Result for request i.
 func (s *Session) fail(i int, req Request, err error) Result {
-	return s.failID(i, req.ID, req.Question, err)
-}
-
-// failID is fail for callers that never built a Request — the
-// run-batched stream path carries only the result identity.
-func (s *Session) failID(i int, id string, q Question, err error) Result {
-	return Result{Index: i, ID: id, Question: q, Err: &Error{
+	return Result{Index: i, ID: req.ID, Question: req.Question, Err: &Error{
 		Code:     classify(err),
 		Index:    i,
-		ID:       id,
-		Question: q,
+		ID:       req.ID,
+		Question: req.Question,
 		Err:      err,
 	}}
 }

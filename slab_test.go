@@ -9,10 +9,18 @@ import (
 	"chipletactuary"
 )
 
+// nextOnly hides a source's NextSlab, so Session.Stream serves it
+// through the slab-of-one adapter whatever the slab size.
+type nextOnly struct{ src actuary.RequestSource }
+
+func (n nextOnly) Next() (actuary.Request, bool) { return n.src.Next() }
+
 // collectOrdered drains one ordered stream of the given grid shard
 // into a slice. slabSize 0 means the default slab path; 1 forces the
-// point path.
-func collectOrdered(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, shard, shards, resumeAt, slabSize int) []actuary.Result {
+// point path. wrap, when given, wraps the sweep source before
+// streaming.
+func collectOrdered(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, shard, shards, resumeAt, slabSize int,
+	wrap ...func(actuary.RequestSource) actuary.RequestSource) []actuary.Result {
 	t.Helper()
 	gen := grid.Points()
 	if shards > 1 {
@@ -21,6 +29,9 @@ func collectOrdered(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, sh
 	src, err := actuary.SweepSource(gen, actuary.QuestionTotalCost, actuary.PerSystemUnit)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, w := range wrap {
+		src = w(src)
 	}
 	opts := []actuary.StreamOption{actuary.StreamOrdered(), actuary.StreamResumeAt(resumeAt)}
 	if slabSize > 0 {
@@ -40,7 +51,9 @@ func collectOrdered(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, sh
 // TestSlabPathMatchesPointPath is the dispatch-equivalence property
 // test: across randomized grids, shard counts, resume points and slab
 // sizes, the slab path must deliver exactly the results the point path
-// delivers — same indexes, same IDs, same bits, same errors.
+// delivers — same indexes, same IDs, same bits, same errors. A
+// Next-only wrapper of the same source holds the slab-of-one adapter
+// to the same results.
 func TestSlabPathMatchesPointPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := newTestSession(t, actuary.WithWorkers(2))
@@ -66,6 +79,11 @@ func TestSlabPathMatchesPointPath(t *testing.T) {
 						t.Fatalf("trial %d shard %d/%d resume %d slab %d: %d results diverge from point path (%d results)",
 							trial, shard, shards, resumeAt, slab, len(got), len(point))
 					}
+				}
+				wrapNext := func(src actuary.RequestSource) actuary.RequestSource { return nextOnly{src} }
+				if got := collectOrdered(t, s, grid, shard, shards, resumeAt, 0, wrapNext); !reflect.DeepEqual(got, point) {
+					t.Fatalf("trial %d shard %d/%d resume %d Next-only: %d results diverge from point path (%d results)",
+						trial, shard, shards, resumeAt, len(got), len(point))
 				}
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"chipletactuary/internal/sweep"
-	"chipletactuary/internal/system"
 )
 
 // Streaming design-space exploration: instead of materializing a sweep
@@ -62,18 +61,35 @@ type RequestSource interface {
 
 // SlabSource is a RequestSource that can also hand out runs of
 // consecutive requests in one call. Session.Stream detects it and
-// switches to slab dispatch: one worker job carries a whole slab, so
-// channel sends, queue metrics and scheduling are paid once per slab
-// instead of once per point. NextSlab fills dst with up to len(dst)
+// fills each worker job with a whole slab, so channel sends, queue
+// metrics and scheduling are paid once per slab instead of once per
+// point. NextSlab fills dst with up to len(dst)
 // requests and returns how many it produced; 0 means exhausted. The
 // concatenation of the slabs must be exactly the sequence Next would
 // have produced, so slab and point consumers see identical request
 // streams (resume cursors and result indexes stay per-request either
 // way). Sources that cannot produce runs cheaply just implement
-// RequestSource and are served point by point.
+// RequestSource and are served slabs of one (see fillSlab).
 type SlabSource interface {
 	RequestSource
 	NextSlab(dst []Request) int
+}
+
+// fillSlab fills dst by calling src.Next until dst is full or src is
+// exhausted and returns how many requests it produced. It is the
+// slab-of-one adapter through which Session.Stream serves sources
+// without NextSlab (and every source under StreamSlabSize(1)).
+func fillSlab(src RequestSource, dst []Request) int {
+	n := 0
+	for n < len(dst) {
+		r, ok := src.Next()
+		if !ok {
+			break
+		}
+		dst[n] = r
+		n++
+	}
+	return n
 }
 
 // sourceFunc adapts a closure to a RequestSource.
@@ -111,10 +127,15 @@ func SliceSource(reqs []Request) RequestSource { return &sliceSource{reqs: reqs}
 // or QuestionWafers) of every generated point. Request IDs follow the
 // scenario convention "<point>/<question>". The generator's grid is
 // validated here: a misconfigured axis fails fast instead of
-// degenerating into an empty stream.
+// degenerating into an empty stream. A lean generator (see
+// SweepGenerator.Lean) is rejected: its points carry no System to
+// evaluate.
 func SweepSource(gen *SweepGenerator, question Question, policy AmortizationPolicy) (RequestSource, error) {
 	if !perSystemQuestion(question) {
 		return nil, fmt.Errorf("actuary: SweepSource supports the per-system questions, not %v", question)
+	}
+	if gen.IsLean() {
+		return nil, fmt.Errorf("actuary: SweepSource needs a materializing generator; grid %q's is lean", gen.Grid().Name)
 	}
 	if err := gen.Grid().Validate(); err != nil {
 		return nil, err
@@ -129,11 +150,7 @@ func SweepSource(gen *SweepGenerator, question Question, policy AmortizationPoli
 
 // sweepSource adapts a generator to the streaming API. It implements
 // SlabSource, so Session.Stream serves sweeps in slabs; the question
-// suffix is rendered once here instead of once per point. A lean
-// generator asking the total-cost question additionally implements
-// runSource, and Session.Stream serves it run-batched: raw design
-// points travel to the workers, which evaluate them through
-// explore.Evaluator.EvaluateRun without ever materializing a System.
+// suffix is rendered once here instead of once per point.
 type sweepSource struct {
 	gen      *SweepGenerator
 	suffix   string
@@ -143,15 +160,6 @@ type sweepSource struct {
 }
 
 func (s *sweepSource) request(p DesignPoint) Request {
-	if p.System.Name == "" && s.gen.IsLean() {
-		// A lean generator leaves Point.System zero; the point path
-		// still needs it, so materialize here. PartitionEqual cannot
-		// fail for a point the lean walk emitted — its unbuildable
-		// combinations were pruned by the same checks.
-		if sys, err := system.PartitionEqual(p.ID, p.Node, p.AreaMM2, p.K, p.Scheme, s.gen.D2D(), p.Quantity); err == nil {
-			p.System = sys
-		}
-	}
 	return Request{
 		ID:       p.ID + s.suffix,
 		Question: s.question,
@@ -182,41 +190,6 @@ func (s *sweepSource) NextSlab(dst []Request) int {
 		pts[i] = DesignPoint{} // release the System backing arrays
 	}
 	return n
-}
-
-// NextPointSlab implements runSource: the raw design points of one
-// generator slab, no Request construction at all.
-func (s *sweepSource) NextPointSlab(dst []DesignPoint) int { return s.gen.NextSlab(dst) }
-
-// runDispatch implements runSource. Run dispatch engages only for the
-// shape the run-batched evaluator is proven bit-identical on: a lean
-// generator (scalar points, no Systems to forward) answering the
-// total-cost question.
-func (s *sweepSource) runDispatch() (runSpec, bool) {
-	if s.question != QuestionTotalCost || !s.gen.IsLean() {
-		return runSpec{}, false
-	}
-	return runSpec{policy: s.policy, suffix: s.suffix, d2d: s.gen.D2D()}, true
-}
-
-// runSpec carries the per-stream constants of run dispatch: everything
-// a worker needs, besides the points themselves, to evaluate a run and
-// label its results.
-type runSpec struct {
-	policy AmortizationPolicy
-	suffix string
-	d2d    D2DOverhead
-}
-
-// runSource is the optional source interface behind run-batched
-// dispatch: the source hands raw design points to the stream, and the
-// workers evaluate them through the run-batched fast path instead of
-// materialized Requests. runDispatch reports whether the source's
-// question/generator combination qualifies.
-type runSource interface {
-	RequestSource
-	NextPointSlab(dst []DesignPoint) int
-	runDispatch() (runSpec, bool)
 }
 
 // StreamOption tunes Session.Stream.
@@ -264,9 +237,9 @@ func StreamInFlight(n int) StreamOption {
 const DefaultSlabSize = 32
 
 // StreamSlabSize sets how many requests one worker job carries when
-// the source supports slab dispatch; n ≤ 1 forces point-at-a-time
-// dispatch even for slab-capable sources (the lever equivalence tests
-// use to compare the two paths). Slabs only batch dispatch: results,
+// the source supports slab dispatch; n ≤ 1 forces slabs of one, pulled
+// through Next, even for slab-capable sources (the lever equivalence
+// tests use to compare the two paths). Slabs only batch dispatch: results,
 // indexes and resume cursors stay per-request, so checkpoints taken
 // under one slab size resume correctly under any other. Sources that
 // do not implement SlabSource are unaffected.
@@ -353,19 +326,13 @@ func (sp StreamSpec) Options() []StreamOption {
 	return opts
 }
 
+// streamJob carries a slab of requests whose stream indexes are
+// index, index+1, … — one channel send for the lot. buf is the pool
+// token the worker returns after evaluation.
 type streamJob struct {
 	index int
-	req   Request
-	// slab, when non-nil, carries a run of requests whose stream
-	// indexes are index, index+1, … — one channel send for the lot.
-	// buf is the pool token the worker returns after evaluation.
-	slab []Request
-	buf  *[]Request
-	// points, when non-nil, carries a run-batched slab of lean design
-	// points (see runSource) with the same index convention; pbuf is
-	// its pool token.
-	points []DesignPoint
-	pbuf   *[]DesignPoint
+	slab  []Request
+	buf   *[]Request
 }
 
 // slabBufPool recycles slab backing arrays between pump and workers so
@@ -373,10 +340,6 @@ type streamJob struct {
 // sized per stream (capacity = the stream's slab size); a stream with
 // a different slab size simply reallocates on first Get.
 var slabBufPool = sync.Pool{New: func() any { return new([]Request) }}
-
-// pointBufPool is slabBufPool's counterpart for run-batched dispatch,
-// recycling the design-point slabs between pump and workers.
-var pointBufPool = sync.Pool{New: func() any { return new([]DesignPoint) }}
 
 // elasticTick is how often a running stream reconciles its worker
 // count with the session's target width (see Session.Resize). Growth
@@ -422,33 +385,20 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	// Slab dispatch engages when the source can produce runs and the
-	// caller has not forced point mode. The slab size never exceeds the
-	// in-flight bound: that bound is the stream's memory contract.
-	// Run-batched dispatch supersedes request slabs when the source
-	// qualifies (see runSource); its slab sizing and credit accounting
-	// are identical — only the job payload changes.
-	slabSrc, _ := src.(SlabSource)
-	runSrc, _ := src.(runSource)
-	var spec runSpec
-	if runSrc != nil {
-		sp, ok := runSrc.runDispatch()
-		if !ok {
-			runSrc = nil
-		}
-		spec = sp
-	}
+	// Every job is a slab. Sources that can produce runs fill theirs
+	// with NextSlab unless the caller forced slabs of one; every other
+	// stream is served slabs of one through fillSlab. The slab size
+	// never exceeds the in-flight bound: that bound is the stream's
+	// memory contract.
 	slab := cfg.slabSize
 	if slab == 0 {
 		slab = DefaultSlabSize
 	}
-	if (slabSrc == nil && runSrc == nil) || slab <= 1 {
+	nextSlab := func(dst []Request) int { return fillSlab(src, dst) }
+	if slabSrc, ok := src.(SlabSource); ok && slab > 1 {
+		nextSlab = slabSrc.NextSlab
+	} else {
 		slab = 1
-		slabSrc = nil
-		runSrc = nil
-	}
-	if runSrc != nil {
-		slabSrc = nil
 	}
 	if !cfg.hasInFlight {
 		cfg.inFlight = 2 * s.Workers()
@@ -484,12 +434,8 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 	elastic := s.workerMax > s.workerMin
 	// The job queue is measured in requests, not sends: with slabs of
 	// size s it holds inFlight/s jobs, so the in-flight request bound
-	// is the same in both dispatch modes.
-	jobCap := cfg.inFlight
-	if slab > 1 {
-		jobCap = max(1, cfg.inFlight/slab)
-	}
-	jobs := make(chan streamJob, jobCap)
+	// is the same whatever the slab size.
+	jobs := make(chan streamJob, max(1, cfg.inFlight/slab))
 	out := make(chan Result, cfg.inFlight)
 	metrics := s.metrics
 	metrics.streamsStarted.Add(1)
@@ -546,50 +492,6 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 		defer close(pumpDone)
 		defer close(jobs)
 		pprof.Do(ctx, pprof.Labels("stage", "pump"), func(ctx context.Context) {
-			if runSrc != nil {
-				// Run mode: the resume prefix drains through point slabs —
-				// no Requests, no Systems, just odometer replay.
-				for skip := cfg.resumeAt; skip > 0; {
-					if ctx.Err() != nil {
-						return
-					}
-					buf := pointBufPool.Get().(*[]DesignPoint)
-					if cap(*buf) < slab {
-						*buf = make([]DesignPoint, slab)
-					}
-					n := runSrc.NextPointSlab((*buf)[:min(slab, skip)])
-					pointBufPool.Put(buf)
-					if n == 0 {
-						return
-					}
-					skip -= n
-				}
-				for i := max(cfg.resumeAt, 0); ; {
-					if !acquireCredits(slab) {
-						return
-					}
-					buf := pointBufPool.Get().(*[]DesignPoint)
-					if cap(*buf) < slab {
-						*buf = make([]DesignPoint, slab)
-					}
-					n := runSrc.NextPointSlab((*buf)[:slab])
-					if n == 0 {
-						pointBufPool.Put(buf)
-						returnCredits(slab)
-						return
-					}
-					returnCredits(slab - n)
-					metrics.enqueuedSlab(n)
-					select {
-					case jobs <- streamJob{index: i, points: (*buf)[:n], pbuf: buf}:
-					case <-ctx.Done():
-						metrics.enqueueAbortedSlab(n)
-						pointBufPool.Put(buf)
-						return
-					}
-					i += n
-				}
-			}
 			// Resume: drain the already-delivered prefix without dispatching
 			// or touching the queue metrics — replayed generation is not
 			// back-pressure. Cancellation still lands between pulls.
@@ -601,53 +503,35 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 					return
 				}
 			}
-			if slabSrc != nil {
-				// Slab mode: credits stay request-granular (the ordered
-				// window is measured in requests), acquired in a batch before
-				// the slab is generated. cap(credits) ≥ slab always holds, so
-				// the batch can never deadlock; the unused credits of a short
-				// final slab go straight back.
-				for i := max(cfg.resumeAt, 0); ; {
-					if !acquireCredits(slab) {
-						return
-					}
-					buf := slabBufPool.Get().(*[]Request)
-					if cap(*buf) < slab {
-						*buf = make([]Request, slab)
-					}
-					n := slabSrc.NextSlab((*buf)[:slab])
-					if n == 0 {
-						slabBufPool.Put(buf)
-						returnCredits(slab)
-						return
-					}
-					returnCredits(slab - n)
-					metrics.enqueuedSlab(n)
-					select {
-					case jobs <- streamJob{index: i, slab: (*buf)[:n], buf: buf}:
-					case <-ctx.Done():
-						metrics.enqueueAbortedSlab(n)
-						slabBufPool.Put(buf)
-						return
-					}
-					i += n
-				}
-			}
-			for i := max(cfg.resumeAt, 0); ; i++ {
-				if !acquireCredits(1) {
+			// Credits stay request-granular (the ordered window is
+			// measured in requests), acquired in a batch before the slab
+			// is generated. cap(credits) ≥ slab always holds, so the batch
+			// can never deadlock; the unused credits of a short final slab
+			// go straight back.
+			for i := max(cfg.resumeAt, 0); ; {
+				if !acquireCredits(slab) {
 					return
 				}
-				req, ok := src.Next()
-				if !ok {
+				buf := slabBufPool.Get().(*[]Request)
+				if cap(*buf) < slab {
+					*buf = make([]Request, slab)
+				}
+				n := nextSlab((*buf)[:slab])
+				if n == 0 {
+					slabBufPool.Put(buf)
+					returnCredits(slab)
 					return
 				}
-				metrics.enqueued()
+				returnCredits(slab - n)
+				metrics.enqueued(n)
 				select {
-				case jobs <- streamJob{index: i, req: req}:
+				case jobs <- streamJob{index: i, slab: (*buf)[:n], buf: buf}:
 				case <-ctx.Done():
-					metrics.enqueueAborted()
+					metrics.enqueueAborted(n)
+					slabBufPool.Put(buf)
 					return
 				}
+				i += n
 			}
 		})
 	}()
@@ -682,37 +566,22 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 				}
 			}
 		}
-		evalDeliver := func(index int, req Request) {
-			t0 := time.Now()
-			var r Result
-			if err := ctx.Err(); err != nil {
-				r = s.fail(index, req, err)
-			} else {
-				r = s.evaluateOne(ctx, index, req)
-			}
-			metrics.finished(req.Question, time.Since(t0), r.Err != nil)
-			deliver(r)
-		}
-		var rw runWorker
 		pprof.Do(ctx, pprof.Labels("stage", "evaluate"), func(ctx context.Context) {
 			for j := range jobs {
-				switch {
-				case j.points != nil:
-					metrics.dequeuedSlab(len(j.points))
-					s.evaluateRunSlab(ctx, j.index, j.points, spec, &rw, metrics, deliver)
-					clear(j.points) // release the ID string references
-					pointBufPool.Put(j.pbuf)
-				case j.slab != nil:
-					metrics.dequeuedSlab(len(j.slab))
-					for k := range j.slab {
-						evalDeliver(j.index+k, j.slab[k])
+				metrics.dequeued(len(j.slab))
+				for k, req := range j.slab {
+					t0 := time.Now()
+					var r Result
+					if err := ctx.Err(); err != nil {
+						r = s.fail(j.index+k, req, err)
+					} else {
+						r = s.evaluateOne(ctx, j.index+k, req)
 					}
-					clear(j.slab) // release the request payload references
-					slabBufPool.Put(j.buf)
-				default:
-					metrics.dequeued()
-					evalDeliver(j.index, j.req)
+					metrics.finished(req.Question, time.Since(t0), r.Err != nil)
+					deliver(r)
 				}
+				clear(j.slab) // release the request payload references
+				slabBufPool.Put(j.buf)
 				// Elastic shrink lands at job boundaries: the worker retires
 				// after delivering its result(s), never mid-evaluation.
 				if elastic && shrinkPool(&live, targetWidth()) {

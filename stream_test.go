@@ -230,6 +230,18 @@ func TestStreamErrors(t *testing.T) {
 	}
 }
 
+// TestSweepSourceRejectsLean checks that SweepSource refuses a lean
+// generator for every per-system question: lean points carry no
+// System, so streaming them would price empty systems.
+func TestSweepSourceRejectsLean(t *testing.T) {
+	grid := testGrid([]float64{400}, []int{1, 2})
+	for _, q := range []actuary.Question{actuary.QuestionTotalCost, actuary.QuestionRE, actuary.QuestionWafers} {
+		if _, err := actuary.SweepSource(grid.Points().Lean(), q, actuary.PerSystemUnit); err == nil {
+			t.Errorf("SweepSource accepted a lean generator for %v", q)
+		}
+	}
+}
+
 // TestSessionSweepBest answers the one-request whole-sweep question
 // and cross-checks the winner against the materialized path.
 func TestSessionSweepBest(t *testing.T) {

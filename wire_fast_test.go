@@ -38,8 +38,8 @@ func assertLineIdentity(t *testing.T, r actuary.Result) {
 }
 
 // TestAppendResultLineStreamIdentity drains a real sweep stream —
-// successes on both lean and materialized paths plus structured
-// failures — and demands byte identity line by line.
+// successes plus structured failures — and demands byte identity line
+// by line.
 func TestAppendResultLineStreamIdentity(t *testing.T) {
 	s := newTestSession(t, actuary.WithWorkers(2))
 	grids := []actuary.SweepGrid{
@@ -57,32 +57,26 @@ func TestAppendResultLineStreamIdentity(t *testing.T) {
 	seen := 0
 	var buf []byte
 	for _, grid := range grids {
-		for _, lean := range []bool{false, true} {
-			gen := grid.Points()
-			if lean {
-				gen.Lean()
-			}
-			src, err := actuary.SweepSource(gen, actuary.QuestionTotalCost, actuary.PerSystemUnit)
+		src, err := actuary.SweepSource(grid.Points(), actuary.QuestionTotalCost, actuary.PerSystemUnit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := s.Stream(context.Background(), src, actuary.StreamOrdered())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range ch {
+			assertLineIdentity(t, r)
+			// Also through a reused buffer, the server's pattern.
+			buf, err = actuary.AppendResultLine(buf[:0], r)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("reused buffer: %v", err)
 			}
-			ch, err := s.Stream(context.Background(), src, actuary.StreamOrdered())
-			if err != nil {
-				t.Fatal(err)
+			want, _ := encodeReference(t, r)
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("result %q: reused-buffer bytes diverge", r.ID)
 			}
-			for r := range ch {
-				assertLineIdentity(t, r)
-				// Also through a reused buffer, the server's pattern.
-				buf, err = actuary.AppendResultLine(buf[:0], r)
-				if err != nil {
-					t.Fatalf("reused buffer: %v", err)
-				}
-				want, _ := encodeReference(t, r)
-				if !bytes.Equal(buf, want) {
-					t.Fatalf("result %q: reused-buffer bytes diverge", r.ID)
-				}
-				seen++
-			}
+			seen++
 		}
 	}
 	if seen == 0 {
