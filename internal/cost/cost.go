@@ -217,7 +217,7 @@ func (e *Engine) REFloor(s system.System) (float64, bool) {
 		return 0, false
 	}
 	var tally cacheTally
-	dc, err := e.dieCost(s.Placements[0].Chiplet, &tally)
+	dc, err := e.dieCost(s.Placements[0].Chiplet, u.DieAreaMM2, &tally)
 	if err != nil || !(dc.KGD >= 0) {
 		return 0, false
 	}
@@ -225,9 +225,10 @@ func (e *Engine) REFloor(s system.System) (float64, bool) {
 	return float64(u.K) * dc.KGD, true
 }
 
-// dieCost evaluates one die, consulting the KGD cache when enabled.
-func (e *Engine) dieCost(c system.Chiplet, tally *cacheTally) (DieCost, error) {
-	area := c.DieArea()
+// dieCost evaluates one die of the given area (c.DieArea(), or the
+// bit-identical Uniform.DieAreaMM2), consulting the KGD cache when
+// enabled.
+func (e *Engine) dieCost(c system.Chiplet, area float64, tally *cacheTally) (DieCost, error) {
 	key := DieKey{Node: c.Node, AreaMM2: area}
 	if c.Salvage != nil {
 		key.SalvageFraction = c.Salvage.Fraction
@@ -267,20 +268,23 @@ func (e *Engine) dieCost(c system.Chiplet, tally *cacheTally) (DieCost, error) {
 
 // RE computes the recurring cost of one unit of the system. Systems
 // the detector can prove uniform (the shape every sweep candidate
-// has) take a closed-form fast path with bit-identical results; any
-// other shape takes the general per-placement walk.
+// has) take the closed-form fast path, REUniform, with bit-identical
+// results; any other shape takes the general per-placement walk.
 func (e *Engine) RE(s system.System) (Breakdown, error) {
 	if u, ok := system.AsUniform(s); ok {
-		return e.reUniform(s, u)
+		return e.REUniform(s, u)
 	}
 	return e.reSlow(s)
 }
 
-// reUniform evaluates a uniform k-way system with one die evaluation
-// and one (memoizable) packaging partial, reproducing reSlow's
-// arithmetic — including its error messages and cache accounting —
-// bit for bit.
-func (e *Engine) reUniform(s system.System, u system.Uniform) (Breakdown, error) {
+// REUniform evaluates a uniform k-way system with one die evaluation
+// and one (memoizable) packaging partial, reproducing the general
+// walk's arithmetic — including its error messages and cache
+// accounting — bit for bit. It is the RE twin of
+// nre.Engine.EvaluateUniform: callers that already proved s uniform
+// pass the proof on instead of proving it again, and must pass a u
+// obtained from system.AsUniform(s).
+func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error) {
 	// Validate-order errors this shape can still produce: unknown
 	// node first (from the placement walk), then negative quantity.
 	if _, err := e.db.Node(u.Node); err != nil {
@@ -290,7 +294,7 @@ func (e *Engine) reUniform(s system.System, u system.Uniform) (Breakdown, error)
 		return Breakdown{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
 	}
 	var tally cacheTally
-	dc, err := e.dieCost(s.Placements[0].Chiplet, &tally)
+	dc, err := e.dieCost(s.Placements[0].Chiplet, u.DieAreaMM2, &tally)
 	if err != nil {
 		return Breakdown{}, err
 	}
@@ -346,7 +350,7 @@ func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 	b.Dies = make([]DieCost, len(dies))
 	var tally cacheTally
 	for i, c := range dies {
-		dc, err := e.dieCost(c, &tally)
+		dc, err := e.dieCost(c, c.DieArea(), &tally)
 		if err != nil {
 			return Breakdown{}, err
 		}

@@ -123,18 +123,19 @@ func (t TotalCost) NREShare() float64 {
 }
 
 // Single evaluates a standalone system (a one-member portfolio).
-// Uniform systems — the shape every sweep candidate has — take a
-// closed-form fast path through both engines that skips the
-// portfolio machinery (maps, sorts, per-design bookkeeping) with
-// bit-identical results, including error messages and their order:
-// like Portfolio, NRE validation errors surface before RE ones.
+// Uniform systems — the shape every sweep candidate has — are proved
+// uniform once and take a closed-form fast path through both engines
+// that skips the portfolio machinery (maps, sorts, per-design
+// bookkeeping) with bit-identical results, including error messages
+// and their order: like Portfolio, NRE validation errors surface
+// before RE ones.
 func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error) {
 	if u, ok := system.AsUniform(s); ok {
 		nb, err := e.NRE.EvaluateUniform(s, u, policy)
 		if err != nil {
 			return TotalCost{}, err
 		}
-		re, err := e.Cost.RE(s)
+		re, err := e.Cost.REUniform(s, u)
 		if err != nil {
 			return TotalCost{}, err
 		}

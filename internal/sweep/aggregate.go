@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -46,10 +47,10 @@ func (t *TopK[T]) TieBreak(key func(T) string) *TopK[T] {
 	return t
 }
 
-// entry builds the heap entry of one item, computing the tie-break key
-// once.
-func (t *TopK[T]) entry(x T) topEntry[T] {
-	e := topEntry[T]{cost: t.cost(x), item: x}
+// entry builds the heap entry of one item of the given cost, computing
+// the tie-break key once.
+func (t *TopK[T]) entry(cost float64, x T) topEntry[T] {
+	e := topEntry[T]{cost: cost, item: x}
 	if t.key != nil {
 		e.key = t.key(x)
 	}
@@ -64,10 +65,16 @@ func less[T any](a, b topEntry[T]) bool {
 	return a.key < b.key
 }
 
-// Observe offers one item to the selector.
+// Observe offers one item to the selector. Once the selector is full,
+// an item strictly dearer than the root is dropped before its entry
+// is built: offer would reject it whatever its tie-break key.
 func (t *TopK[T]) Observe(x T) {
 	t.seen++
-	t.offer(t.entry(x))
+	c := t.cost(x)
+	if len(t.heap) == t.k && t.heap[0].cost < c {
+		return
+	}
+	t.offer(t.entry(c, x))
 }
 
 // offer inserts one entry, evicting the current maximum when full.
@@ -94,7 +101,7 @@ func (t *TopK[T]) Merge(o *TopK[T]) {
 	for _, e := range o.heap {
 		// Re-enter through entry() so this selector's own functions
 		// decide cost and key even if o was configured differently.
-		t.offer(t.entry(e.item))
+		t.offer(t.entry(t.cost(e.item), e.item))
 	}
 }
 
@@ -147,7 +154,7 @@ func (t *TopK[T]) SetState(s TopKState[T]) error {
 	t.k = s.K
 	t.heap = t.heap[:0]
 	for _, x := range s.Items {
-		t.offer(t.entry(x))
+		t.offer(t.entry(t.cost(x), x))
 	}
 	t.seen = s.Seen
 	return nil
@@ -268,7 +275,7 @@ func (p *Pareto[T]) observe(item T) {
 	for j < len(p.front) && p.front[j].y >= y {
 		j++
 	}
-	p.front = append(p.front[:i], append([]paretoEntry[T]{{x: x, y: y, key: key, item: item}}, p.front[j:]...)...)
+	p.front = slices.Replace(p.front, i, j, paretoEntry[T]{x: x, y: y, key: key, item: item})
 }
 
 // Merge folds another front into this one, as if every item behind o

@@ -110,15 +110,20 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("sweep: grid %q has non-positive quantity %v", g.Name, q)
 		}
 	}
-	for axis, dup := range map[string]bool{
-		"nodes":      hasDup(g.Nodes),
-		"schemes":    hasDup(g.Schemes),
-		"areas":      hasDup(g.AreasMM2),
-		"counts":     hasDup(g.Counts),
-		"quantities": hasDup(g.Quantities),
+	// A fixed axis order, so a grid with several duplicated axes always
+	// names the same one.
+	for _, ax := range []struct {
+		name string
+		dup  bool
+	}{
+		{"nodes", hasDup(g.Nodes)},
+		{"schemes", hasDup(g.Schemes)},
+		{"areas", hasDup(g.AreasMM2)},
+		{"counts", hasDup(g.Counts)},
+		{"quantities", hasDup(g.Quantities)},
 	} {
-		if dup {
-			return fmt.Errorf("sweep: grid %q has duplicate %s entries", g.Name, axis)
+		if ax.dup {
+			return fmt.Errorf("sweep: grid %q has duplicate %s entries", g.Name, ax.name)
 		}
 	}
 	return nil
@@ -151,32 +156,19 @@ func (g Grid) MaxCount() int {
 // k, quantity) combination: single-valued axes are elided so the IDs
 // of simple grids stay short and stable ("name-a800-k4").
 func (g Grid) PointID(node string, scheme packaging.Scheme, areaMM2 float64, k int, quantity float64) string {
-	// Built with strconv appends rather than Sprintf — this runs once
-	// per candidate. 'g'/-1 is the shortest round-trip form, byte-
-	// identical to fmt's %g.
-	id := g.ComboID(node, scheme, quantity)
-	buf := make([]byte, 0, len(id)+24)
-	buf = append(buf, id...)
-	buf = append(buf, "-a"...)
-	buf = strconv.AppendFloat(buf, areaMM2, 'g', -1, 64)
-	buf = append(buf, "-k"...)
-	buf = strconv.AppendInt(buf, int64(k), 10)
-	return string(buf)
+	var buf [idBufSize]byte
+	var q, a [floatBufSize]byte
+	return string(g.appendID(buf[:0], pointLabel, node, scheme.String(),
+		appendFloat(q[:0], quantity), appendFloat(a[:0], areaMM2), k))
 }
 
 // ComboID is PointID without the area and count segments — the label
 // of one (node, scheme, quantity) axis combination, used by questions
 // that sweep area or count internally.
 func (g Grid) ComboID(node string, scheme packaging.Scheme, quantity float64) string {
-	id := g.AxisID(node, scheme)
-	if len(g.Quantities) > 1 {
-		buf := make([]byte, 0, len(id)+16)
-		buf = append(buf, id...)
-		buf = append(buf, "-q"...)
-		buf = strconv.AppendFloat(buf, quantity, 'g', -1, 64)
-		id = string(buf)
-	}
-	return id
+	var buf [idBufSize]byte
+	var q [floatBufSize]byte
+	return string(g.appendID(buf[:0], comboLabel, node, scheme.String(), appendFloat(q[:0], quantity), nil, 0))
 }
 
 // AxisID is the quantity-free prefix of ComboID: the grid name plus a
@@ -184,14 +176,60 @@ func (g Grid) ComboID(node string, scheme packaging.Scheme, quantity float64) st
 // when the scheme axis is. Quantity-independent questions (like the
 // area-crossover search) label their requests with it.
 func (g Grid) AxisID(node string, scheme packaging.Scheme) string {
-	id := g.Name
+	var buf [idBufSize]byte
+	return string(g.appendID(buf[:0], axisLabel, node, scheme.String(), nil, nil, 0))
+}
+
+// labelDepth is how much of a label appendID writes.
+type labelDepth int
+
+const (
+	axisLabel  labelDepth = iota // AxisID: name, node, scheme
+	comboLabel                   // ComboID: … and quantity
+	pointLabel                   // PointID: … and area and count
+)
+
+// idBufSize and floatBufSize size the stack buffers labels and their
+// numbers are assembled in; a longer one spills to the heap and is
+// otherwise unaffected.
+const (
+	idBufSize    = 96
+	floatBufSize = 32
+)
+
+// appendID is the one label formatter behind AxisID, ComboID, PointID
+// and Generator.Next. It appends to dst the grid name, a segment per
+// multi-valued axis among node, scheme and (from comboLabel) quantity,
+// and (at pointLabel) the area and count segments every point ID
+// carries. Quantity and area arrive formatted by appendFloat, so the
+// generator can format each axis value once and reuse it.
+func (g *Grid) appendID(dst []byte, depth labelDepth, node, scheme string, quantity, area []byte, k int) []byte {
+	dst = append(dst, g.Name...)
 	if len(g.Nodes) > 1 {
-		id += "-" + node
+		dst = append(dst, '-')
+		dst = append(dst, node...)
 	}
 	if len(g.Schemes) > 1 {
-		id += "-" + scheme.String()
+		dst = append(dst, '-')
+		dst = append(dst, scheme...)
 	}
-	return id
+	if depth >= comboLabel && len(g.Quantities) > 1 {
+		dst = append(dst, "-q"...)
+		dst = append(dst, quantity...)
+	}
+	if depth >= pointLabel {
+		dst = append(dst, "-a"...)
+		dst = append(dst, area...)
+		dst = append(dst, "-k"...)
+		dst = strconv.AppendInt(dst, int64(k), 10)
+	}
+	return dst
+}
+
+// appendFloat formats an axis value for a label: 'g'/-1 is the
+// shortest round-trip form, byte-identical to fmt's %g.
+func appendFloat(dst []byte, v float64) []byte {
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
 // Filter decides whether a generated point survives pre-evaluation
@@ -381,6 +419,12 @@ type Generator struct {
 	shardIndex int
 	shardCount int
 	lean       bool
+	// labels memoizes formatted axis values for point IDs: quantity i
+	// at i, area i at len(Quantities)+i, each formatted into labelBuf
+	// on first use (nil until then). A walk formats every value at most
+	// once, and allocates for it only when labelBuf grows.
+	labels   [][]byte
+	labelBuf []byte
 }
 
 // Points returns a fresh lazy iterator over the grid, applying the
@@ -392,7 +436,8 @@ func (g Grid) Points(filters ...Filter) *Generator {
 		d2d = dtod.None{}
 	}
 	odo := NewOdometer(len(g.Nodes), len(g.Schemes), len(g.Quantities), len(g.AreasMM2), len(g.Counts))
-	return &Generator{grid: g, filters: filters, d2d: d2d, odo: odo}
+	return &Generator{grid: g, filters: filters, d2d: d2d, odo: odo,
+		labels: make([][]byte, len(g.Quantities)+len(g.AreasMM2))}
 }
 
 // Grid returns the grid this generator walks.
@@ -400,8 +445,10 @@ func (it *Generator) Grid() Grid { return it.grid }
 
 // Lean switches the generator to scalar-only generation: Next leaves
 // Point.System zero instead of building the equal-partition system,
-// which removes every per-point allocation except the ID string. The
-// walk is otherwise identical — the same candidates survive, in the
+// so a point costs one allocation, its ID string, instead of four (a
+// full point adds PartitionEqual's placements, modules and the one
+// string all its chiplet and module names are sliced from). The walk
+// is otherwise identical — the same candidates survive, in the
 // same order, with the same Stats, because the unbuildable-combination
 // checks PartitionEqual would have made are replicated on the scalar
 // axes. The caller asserts that every installed filter and bound reads
@@ -498,12 +545,13 @@ func (it *Generator) Next() (Point, bool) {
 		}
 		// idx is the odometer's live slice: copy out everything needed
 		// before advance mutates it.
-		g := it.grid
+		g := &it.grid
 		node := g.Nodes[idx[0]]
 		schemeIdx := idx[1]
 		scheme := g.Schemes[schemeIdx]
-		quantity := g.Quantities[idx[2]]
-		area := g.AreasMM2[idx[3]]
+		qi, ai := idx[2], idx[3]
+		quantity := g.Quantities[qi]
+		area := g.AreasMM2[ai]
 		k := g.Counts[idx[4]]
 		it.odo.advance()
 
@@ -528,9 +576,9 @@ func (it *Generator) Next() (Point, bool) {
 				it.stats.Pruned++
 				continue
 			}
-			p.ID = g.PointID(node, sch, area, k, quantity)
+			p.ID = it.pointID(node, sch, qi, ai, k)
 		} else {
-			id := g.PointID(node, sch, area, k, quantity)
+			id := it.pointID(node, sch, qi, ai, k)
 			sys, err := system.PartitionEqual(id, node, area, k, sch, it.d2d, quantity)
 			if err != nil {
 				// Unbuildable combination (e.g. an SoC scheme asked to
@@ -561,6 +609,28 @@ func (it *Generator) Next() (Point, bool) {
 		it.lastCand = cand
 		return p, true
 	}
+}
+
+// pointID is Grid.PointID for the point at quantity index qi and area
+// index ai, assembled in a stack buffer from memoized axis labels: one
+// allocation, the ID string itself.
+func (it *Generator) pointID(node string, scheme packaging.Scheme, qi, ai, k int) string {
+	g := &it.grid
+	var buf [idBufSize]byte
+	return string(g.appendID(buf[:0], pointLabel, node, scheme.String(),
+		it.label(qi, g.Quantities[qi]), it.label(len(g.Quantities)+ai, g.AreasMM2[ai]), k))
+}
+
+// label returns the memoized label of axis value v at labels index i.
+// When appending moves labelBuf, earlier labels keep the old array,
+// whose bytes are never rewritten.
+func (it *Generator) label(i int, v float64) []byte {
+	if it.labels[i] == nil {
+		start := len(it.labelBuf)
+		it.labelBuf = appendFloat(it.labelBuf, v)
+		it.labels[i] = it.labelBuf[start:len(it.labelBuf):len(it.labelBuf)]
+	}
+	return it.labels[i]
 }
 
 // NextSlab fills dst with the next consecutive surviving points and

@@ -197,6 +197,38 @@ func TestGridValidate(t *testing.T) {
 	}
 }
 
+// TestGridValidateDuplicateAxisOrder checks that a grid duplicating
+// several axes always names the first in axis order (nodes, schemes,
+// areas, counts, quantities), call after call.
+func TestGridValidateDuplicateAxisOrder(t *testing.T) {
+	cases := []struct {
+		mutate func(*Grid)
+		axis   string
+	}{
+		{func(g *Grid) { g.Nodes = []string{"5nm", "5nm"}; g.AreasMM2 = []float64{400, 400} }, "nodes"},
+		{func(g *Grid) {
+			g.Schemes = []packaging.Scheme{packaging.MCM, packaging.MCM}
+			g.Quantities = []float64{5, 5}
+		}, "schemes"},
+		{func(g *Grid) {
+			g.AreasMM2 = []float64{400, 400}
+			g.Counts = []int{2, 2}
+			g.Quantities = []float64{5, 5}
+		}, "areas"},
+		{func(g *Grid) { g.Counts = []int{2, 2}; g.Quantities = []float64{5, 5} }, "counts"},
+	}
+	for _, tc := range cases {
+		g := testGrid()
+		tc.mutate(&g)
+		want := fmt.Sprintf("sweep: grid %q has duplicate %s entries", g.Name, tc.axis)
+		for i := 0; i < 200; i++ {
+			if err := g.Validate(); err == nil || err.Error() != want {
+				t.Fatalf("call %d: Validate() = %v, want %q", i, err, want)
+			}
+		}
+	}
+}
+
 func TestAreaRange(t *testing.T) {
 	axis, err := AreaRange(100, 300, 100)
 	if err != nil {

@@ -3,22 +3,28 @@ package system
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"chipletactuary/internal/dtod"
 	"chipletactuary/internal/packaging"
 )
 
 // Monolithic builds an SoC system: one die carrying a single module of
-// the given area, no D2D interface.
+// the given area, no D2D interface. The die and module names
+// (name+"-die", name+"-logic") are two slices of one string, so the
+// system costs three allocations; retaining either name keeps the
+// other alive.
 func Monolithic(name, node string, moduleAreaMM2, quantity float64) System {
+	names := name + "-die" + name + "-logic"
+	die := len(name) + len("-die")
 	return System{
 		Name:   name,
 		Scheme: packaging.SoC,
 		Placements: []Placement{{
 			Chiplet: Chiplet{
-				Name:    name + "-die",
+				Name:    names[:die],
 				Node:    node,
-				Modules: []Module{{Name: name + "-logic", AreaMM2: moduleAreaMM2, Scalable: true}},
+				Modules: []Module{{Name: names[die:], AreaMM2: moduleAreaMM2, Scalable: true}},
 				D2D:     dtod.None{},
 			},
 			Count: 1,
@@ -33,6 +39,12 @@ func Monolithic(name, node string, moduleAreaMM2, quantity float64) System {
 // experiment setup ("we divide a monolithic chip into different
 // numbers of chiplets ... no reuse is utilized"): each chiplet is a
 // separate design, so each pays its own chip NRE.
+//
+// Chiplet i is named name+"-chiplet-i" and its module name+"-part-i".
+// All 2k names are slices of one string, so a system costs three
+// allocations whatever k is (placements, modules, names); retaining
+// any one name — a Breakdown.Dies[i].Name, say — keeps the other
+// names of the system alive.
 func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
 	scheme packaging.Scheme, d2d dtod.Overhead, quantity float64) (System, error) {
 	if k < 1 {
@@ -48,18 +60,29 @@ func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
 		return System{}, fmt.Errorf("system: cannot partition into %d chiplets on an SoC", k)
 	}
 	per := moduleAreaMM2 / float64(k)
-	// This constructor runs once per sweep candidate, so it avoids
-	// fmt and per-chiplet slice headers: one backing Module array
-	// sliced per chiplet, names built by concatenation (byte-identical
-	// to the old Sprintf forms).
 	placements := make([]Placement, k)
 	modules := make([]Module, k)
+	// Grown to the exact size up front, the builder never reallocates,
+	// and String() is a view of its one buffer: names sliced from it
+	// mid-build stay valid because written bytes are never rewritten.
+	var names strings.Builder
+	names.Grow(k*(2*len(name)+len("-chiplet-")+len("-part-")) + 2*digitsUpTo(k))
+	var num [20]byte
 	for i := range placements {
-		seq := strconv.Itoa(i + 1)
-		modules[i] = Module{Name: name + "-part-" + seq, AreaMM2: per, Scalable: true}
+		seq := strconv.AppendInt(num[:0], int64(i+1), 10)
+		start := names.Len()
+		names.WriteString(name)
+		names.WriteString("-chiplet-")
+		names.Write(seq)
+		mid := names.Len()
+		names.WriteString(name)
+		names.WriteString("-part-")
+		names.Write(seq)
+		all := names.String()
+		modules[i] = Module{Name: all[mid:], AreaMM2: per, Scalable: true}
 		placements[i] = Placement{
 			Chiplet: Chiplet{
-				Name:    name + "-chiplet-" + seq,
+				Name:    all[start:mid],
 				Node:    node,
 				Modules: modules[i : i+1 : i+1],
 				D2D:     d2d,
@@ -68,6 +91,15 @@ func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
 		}
 	}
 	return System{Name: name, Scheme: scheme, Placements: placements, Quantity: quantity}, nil
+}
+
+// digitsUpTo returns the number of decimal digits in 1, 2, …, k.
+func digitsUpTo(k int) int {
+	n := 0
+	for p := 1; p <= k; p *= 10 {
+		n += k - p + 1
+	}
+	return n
 }
 
 // PartitionWeighted splits a module area into chiplets with the given

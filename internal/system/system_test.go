@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"chipletactuary/internal/dtod"
 	"chipletactuary/internal/packaging"
+	"chipletactuary/internal/race"
 	"chipletactuary/internal/tech"
 	"chipletactuary/internal/units"
 )
@@ -59,6 +61,59 @@ func TestPartitionEqualConservesModuleArea(t *testing.T) {
 		// Each chiplet is a distinct design (no reuse in §4.1).
 		if got := len(s.UniqueChiplets()); got != k {
 			t.Errorf("k=%d: unique chiplets = %d, want %d", k, got, k)
+		}
+	}
+}
+
+// TestPartitionNames pins the names the builders slice out of one
+// string to the per-name forms they replace, for widths past every
+// digit-count boundary up to 130.
+func TestPartitionNames(t *testing.T) {
+	for _, name := range []string{"sys", "", strings.Repeat("long-", 30)} {
+		m := Monolithic(name, "5nm", 800, 1)
+		c := m.Placements[0].Chiplet
+		if c.Name != name+"-die" || c.Modules[0].Name != name+"-logic" {
+			t.Fatalf("Monolithic(%q) names %q / %q", name, c.Name, c.Modules[0].Name)
+		}
+		for k := 1; k <= 130; k++ {
+			s, err := PartitionEqual(name, "7nm", 600, k, packaging.MCM, dtod.Fraction{F: 0.1}, 1e6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.Placements) != k {
+				t.Fatalf("k=%d: %d placements", k, len(s.Placements))
+			}
+			for i, p := range s.Placements {
+				if want := fmt.Sprintf("%s-chiplet-%d", name, i+1); p.Chiplet.Name != want {
+					t.Fatalf("k=%d chiplet %d named %q, want %q", k, i, p.Chiplet.Name, want)
+				}
+				if want := fmt.Sprintf("%s-part-%d", name, i+1); p.Chiplet.Modules[0].Name != want {
+					t.Fatalf("k=%d module %d named %q, want %q", k, i, p.Chiplet.Modules[0].Name, want)
+				}
+			}
+		}
+	}
+}
+
+var sinkSystem System
+
+// TestBuilderAllocations pins the builders at three allocations per
+// system whatever the width: placements, modules and one name string.
+func TestBuilderAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector adds allocations")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sinkSystem = Monolithic("big", "5nm", 800, 1e6)
+	}); n > 3 {
+		t.Errorf("Monolithic: %v allocations, want ≤ 3", n)
+	}
+	var d2d dtod.Overhead = dtod.Fraction{F: 0.1} // converted once, outside the count
+	for _, k := range []int{2, 8, 64} {
+		if n := testing.AllocsPerRun(100, func() {
+			sinkSystem, _ = PartitionEqual("sys", "7nm", 600, k, packaging.MCM, d2d, 1e6)
+		}); n > 3 {
+			t.Errorf("PartitionEqual k=%d: %v allocations, want ≤ 3", k, n)
 		}
 	}
 }

@@ -33,6 +33,12 @@ const uniformMaxK = 64
 // path. Validation errors the fast path CAN reproduce exactly
 // (unknown node, negative quantity, zero volume, packaging
 // infeasibility) do not disqualify a system.
+//
+// It runs once per sweep candidate: callers holding the proof pass u
+// on (cost.Engine.REUniform, nre.Engine.EvaluateUniform) rather than
+// proving it again. Each chiplet's module area is read once, and the
+// O(k²) name-distinctness check rejects on the last byte first, where
+// PartitionEqual's names ("…-chiplet-1", "…-chiplet-2") differ.
 func AsUniform(s System) (Uniform, bool) {
 	if s.Name == "" || s.Envelope != nil {
 		return Uniform{}, false
@@ -55,13 +61,18 @@ func AsUniform(s System) (Uniform, bool) {
 			return Uniform{}, false
 		}
 		m := &c.Modules[0]
-		if m.Name == "" || !(m.AreaMM2 > 0) {
+		// With one module, Chiplet.ModuleArea's sum is 0 + area, which
+		// is area itself for every area this check admits.
+		modArea := m.AreaMM2
+		if m.Name == "" || !(modArea > 0) {
 			return Uniform{}, false
 		}
-		// ModuleArea/D2DArea/DieArea exactly as Chiplet.DieArea
-		// computes them, so downstream math sees the same bits.
-		modArea := c.ModuleArea()
-		d2dArea := c.D2DArea()
+		// D2DArea/DieArea exactly as Chiplet computes them, so
+		// downstream math sees the same bits.
+		var d2dArea float64
+		if c.D2D != nil {
+			d2dArea = c.D2D.Area(modArea)
+		}
 		dieArea := modArea + d2dArea
 		if !(dieArea > 0) { // rejects NaN and non-positive too
 			return Uniform{}, false
@@ -77,12 +88,18 @@ func AsUniform(s System) (Uniform, bool) {
 		// map) and duplicate NRE design keys; bail to it.
 		for j := 0; j < i; j++ {
 			prev := &s.Placements[j].Chiplet
-			if prev.Name == c.Name || prev.Modules[0].Name == m.Name {
+			if sameName(prev.Name, c.Name) || sameName(prev.Modules[0].Name, m.Name) {
 				return Uniform{}, false
 			}
 		}
 	}
 	return u, true
+}
+
+// sameName reports a == b for non-empty names, comparing the last
+// bytes before the full strings.
+func sameName(a, b string) bool {
+	return len(a) == len(b) && a[len(a)-1] == b[len(b)-1] && a == b
 }
 
 // WrapUniformNodeErr reproduces, byte for byte, the error chain
