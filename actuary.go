@@ -21,8 +21,7 @@
 //	fmt.Println(results[1].TotalCost.Total())
 //
 // Results come back in input order; each failed request carries a
-// structured *actuary.Error instead of sinking the batch. The legacy
-// single-shot Actuary handle remains as a deprecated wrapper.
+// structured *actuary.Error instead of sinking the batch.
 //
 // Design-space sweeps should stream instead of materializing: a lazy
 // SweepGrid generator feeds Session.Stream, and online aggregators
@@ -41,9 +40,6 @@
 package actuary
 
 import (
-	"context"
-	"fmt"
-
 	"chipletactuary/internal/cost"
 	"chipletactuary/internal/dtod"
 	"chipletactuary/internal/explore"
@@ -226,151 +222,3 @@ var (
 	InFOFanout         = dtod.InFOFanout
 	InterposerParallel = dtod.InterposerParallel
 )
-
-// Actuary is the legacy single-shot evaluator handle. Every method is
-// a thin wrapper over a one-member Session batch.
-//
-// Deprecated: use NewSession and Session.Evaluate, which add
-// batching, concurrency, context cancellation, structured errors and
-// a shared KGD cache. Actuary remains for source compatibility.
-type Actuary struct {
-	s *Session
-}
-
-// New builds an Actuary with the built-in technology database and the
-// calibrated default packaging parameters.
-//
-// Deprecated: use NewSession.
-func New() (*Actuary, error) {
-	return NewWithConfig(tech.Default(), packaging.DefaultParams())
-}
-
-// NewWithConfig builds an Actuary from a custom database and
-// parameters.
-//
-// Deprecated: use NewSession with WithTech and WithPackaging.
-func NewWithConfig(db *TechDatabase, params PackagingParams) (*Actuary, error) {
-	s, err := NewSession(WithTech(db), WithPackaging(params))
-	if err != nil {
-		return nil, err
-	}
-	return &Actuary{s: s}, nil
-}
-
-// Session returns the batch session backing this handle, for
-// incremental migration.
-func (a *Actuary) Session() *Session { return a.s }
-
-// Tech returns the technology database in use.
-func (a *Actuary) Tech() *TechDatabase { return a.s.Tech() }
-
-// Packaging returns the packaging parameters in use.
-func (a *Actuary) Packaging() PackagingParams { return a.s.Packaging() }
-
-// one runs a single-request batch and returns its result.
-func (a *Actuary) one(req Request) Result {
-	return a.s.Evaluate(context.Background(), []Request{req})[0]
-}
-
-// RE computes the recurring cost of one unit of the system (§3.2).
-//
-// Deprecated: use Session.Evaluate with QuestionRE.
-func (a *Actuary) RE(s System) (REBreakdown, error) {
-	r := a.one(Request{Question: QuestionRE, System: s})
-	if r.Err != nil {
-		return REBreakdown{}, r.Err
-	}
-	return *r.RE, nil
-}
-
-// Wafers computes the wafer starts each node must supply to ship the
-// given quantity of the system, net of die and packaging yield.
-//
-// Deprecated: use Session.Evaluate with QuestionWafers.
-func (a *Actuary) Wafers(s System, quantity float64) (WaferDemand, error) {
-	// The batch API substitutes System.Quantity for a zero Quantity;
-	// this legacy method always rejected non-positive quantities, so
-	// guard here to keep that contract.
-	if quantity <= 0 {
-		return WaferDemand{}, fmt.Errorf("cost: quantity %v must be positive", quantity)
-	}
-	r := a.one(Request{Question: QuestionWafers, System: s, Quantity: quantity})
-	if r.Err != nil {
-		return WaferDemand{}, r.Err
-	}
-	return *r.Wafers, nil
-}
-
-// Total computes RE plus amortized NRE per unit for a standalone
-// system (a one-member portfolio).
-//
-// Deprecated: use Session.Evaluate with QuestionTotalCost.
-func (a *Actuary) Total(s System, policy AmortizationPolicy) (TotalCost, error) {
-	r := a.one(Request{Question: QuestionTotalCost, System: s, Policy: policy})
-	if r.Err != nil {
-		return TotalCost{}, r.Err
-	}
-	return *r.TotalCost, nil
-}
-
-// Portfolio evaluates a family of systems that share module, chip and
-// package designs (§3.3), keyed by system name.
-//
-// Deprecated: use Session.Portfolio.
-func (a *Actuary) Portfolio(systems []System, policy AmortizationPolicy) (map[string]TotalCost, error) {
-	return a.s.Portfolio(systems, policy)
-}
-
-// CrossoverQuantity returns the production quantity at which the
-// challenger's total per-unit cost drops to the incumbent's (§4.2's
-// "pay back" point).
-//
-// Deprecated: use Session.Evaluate with QuestionCrossoverQuantity.
-func (a *Actuary) CrossoverQuantity(incumbent, challenger System) (float64, error) {
-	r := a.one(Request{Question: QuestionCrossoverQuantity,
-		Incumbent: incumbent, Challenger: challenger})
-	if r.Err != nil {
-		return 0, r.Err
-	}
-	return r.Quantity, nil
-}
-
-// OptimalChipletCount sweeps partition counts 1..maxK and returns the
-// feasible points and the index of the cheapest (§6's granularity
-// guidance).
-//
-// Deprecated: use Session.Evaluate with QuestionOptimalChipletCount.
-func (a *Actuary) OptimalChipletCount(node string, moduleAreaMM2 float64, maxK int,
-	scheme Scheme, d2d D2DOverhead, quantity float64) ([]explore.PartitionPoint, int, error) {
-	r := a.one(Request{Question: QuestionOptimalChipletCount, Node: node,
-		ModuleAreaMM2: moduleAreaMM2, MaxK: maxK, Scheme: scheme, D2D: d2d, Quantity: quantity})
-	if r.Err != nil {
-		return nil, 0, r.Err
-	}
-	return r.Points, r.Best, nil
-}
-
-// AreaCrossover finds the module area where a k-chiplet partition's
-// RE cost drops below the monolithic SoC's (§4.1's "turning point").
-//
-// Deprecated: use Session.Evaluate with QuestionAreaCrossover.
-func (a *Actuary) AreaCrossover(node string, k int, scheme Scheme,
-	d2d D2DOverhead, loMM2, hiMM2 float64) (float64, error) {
-	r := a.one(Request{Question: QuestionAreaCrossover, Node: node, K: k,
-		Scheme: scheme, D2D: d2d, LoMM2: loMM2, HiMM2: hiMM2})
-	if r.Err != nil {
-		return 0, r.Err
-	}
-	return r.AreaMM2, nil
-}
-
-// MarginalUtility returns the relative RE saving of moving from k to
-// k+1 chiplets.
-func (a *Actuary) MarginalUtility(node string, moduleAreaMM2 float64, k int,
-	scheme Scheme, d2d D2DOverhead) (float64, error) {
-	return a.s.ev.MarginalUtility(node, moduleAreaMM2, k, scheme, d2d)
-}
-
-// Evaluator exposes the underlying exploration evaluator for advanced
-// use (sensitivity studies, custom sweeps).
-func (a *Actuary) Evaluator() *explore.Evaluator { return a.s.Evaluator() }

@@ -1,86 +1,86 @@
 package actuary
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
-func newActuary(t *testing.T) *Actuary {
+func newSession(t *testing.T) *Session {
 	t.Helper()
-	a, err := New()
+	s, err := NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return s
+}
+
+// ask answers one request as a one-member batch, failing the test on
+// a request error.
+func ask(t *testing.T, s *Session, req Request) Result {
+	t.Helper()
+	r := s.Evaluate(context.Background(), []Request{req})[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	return r
 }
 
 func TestNewDefaults(t *testing.T) {
-	a := newActuary(t)
-	if a.Tech() == nil {
+	s := newSession(t)
+	if s.Tech() == nil {
 		t.Fatal("nil tech database")
 	}
-	if a.Packaging().PackageAreaScale <= 0 {
+	if s.Packaging().PackageAreaScale <= 0 {
 		t.Fatal("packaging params not populated")
 	}
-	if a.Evaluator() == nil {
+	if s.Evaluator() == nil {
 		t.Fatal("nil evaluator")
 	}
 }
 
-func TestNewWithConfigRejectsBadParams(t *testing.T) {
+func TestNewSessionRejectsBadParams(t *testing.T) {
 	params := DefaultPackaging()
 	params.PackageAreaScale = -1
-	if _, err := NewWithConfig(DefaultTech(), params); err == nil {
+	if _, err := NewSession(WithTech(DefaultTech()), WithPackaging(params)); err == nil {
 		t.Error("bad params accepted")
 	}
 }
 
 func TestQuickstartFlow(t *testing.T) {
 	// The README quick start, verified end to end.
-	a := newActuary(t)
+	s := newSession(t)
 	soc := Monolithic("big-soc", "5nm", 800, 2_000_000)
 	mcm, err := PartitionEqual("big-mcm", "5nm", 800, 2, MCM, D2DFraction(0.10), 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	socTC, err := a.Total(soc, PerSystemUnit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcmTC, err := a.Total(mcm, PerSystemUnit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	socTC := ask(t, s, Request{Question: QuestionTotalCost, System: soc}).TotalCost
+	mcmTC := ask(t, s, Request{Question: QuestionTotalCost, System: mcm}).TotalCost
 	// At 2M units and 5nm/800mm² the paper's pay-back has happened.
 	if mcmTC.Total() >= socTC.Total() {
 		t.Errorf("MCM (%v) should beat SoC (%v) at 2M units", mcmTC.Total(), socTC.Total())
 	}
-	q, err := a.CrossoverQuantity(soc, mcm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := ask(t, s, Request{Question: QuestionCrossoverQuantity, Incumbent: soc, Challenger: mcm}).Quantity
 	if q <= 0 || q >= 2_000_000 {
 		t.Errorf("crossover = %v, want within (0, 2M)", q)
 	}
 }
 
 func TestFacadeExploration(t *testing.T) {
-	a := newActuary(t)
-	points, best, err := a.OptimalChipletCount("5nm", 800, 6, MCM, D2DFraction(0.10), 2_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(t)
+	opt := ask(t, s, Request{Question: QuestionOptimalChipletCount, Node: "5nm",
+		ModuleAreaMM2: 800, MaxK: 6, Scheme: MCM, D2D: D2DFraction(0.10), Quantity: 2_000_000})
+	points, best := opt.Points, opt.Best
 	if len(points) != 6 || points[best].Chiplets < 2 {
 		t.Errorf("unexpected optimal sweep: %d points, best k=%d", len(points), points[best].Chiplets)
 	}
-	area, err := a.AreaCrossover("5nm", 2, MCM, D2DFraction(0.10), 100, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
+	area := ask(t, s, Request{Question: QuestionAreaCrossover, Node: "5nm", K: 2,
+		Scheme: MCM, D2D: D2DFraction(0.10), LoMM2: 100, HiMM2: 900}).AreaMM2
 	if area <= 100 || area >= 900 {
 		t.Errorf("area crossover = %v, want inside bracket", area)
 	}
-	mu, err := a.MarginalUtility("5nm", 800, 1, MCM, D2DFraction(0.10))
+	mu, err := s.Evaluator().MarginalUtility("5nm", 800, 1, MCM, D2DFraction(0.10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +90,15 @@ func TestFacadeExploration(t *testing.T) {
 }
 
 func TestFacadeReuseSchemes(t *testing.T) {
-	a := newActuary(t)
+	s := newSession(t)
 	family, err := SCMS(SCMSConfig{
 		Node: "7nm", ModuleAreaMM2: 200, Counts: []int{1, 2, 4},
-		Scheme: MCM, QuantityPerSystem: 500_000, Params: a.Packaging(),
+		Scheme: MCM, QuantityPerSystem: 500_000, Params: s.Packaging(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs, err := a.Portfolio(family, PerSystemUnit)
+	costs, err := s.Portfolio(family, PerSystemUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,7 @@ func TestSystemConfigBuild(t *testing.T) {
 	if s.DieCount() != 9 {
 		t.Errorf("dies = %d, want 9", s.DieCount())
 	}
-	a := newActuary(t)
-	tc, err := a.Total(s, PerSystemUnit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tc := ask(t, newSession(t), Request{Question: QuestionTotalCost, System: s}).TotalCost
 	if tc.Total() <= 0 {
 		t.Error("degenerate total")
 	}
@@ -234,8 +230,7 @@ func TestPortfolioConfig(t *testing.T) {
 	if got := systems[0].Envelope.FootprintMM2; got != want {
 		t.Errorf("envelope footprint = %v, want %v", got, want)
 	}
-	a := newActuary(t)
-	costs, err := a.Portfolio(systems, PerSystemUnit)
+	costs, err := newSession(t).Portfolio(systems, PerSystemUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +296,7 @@ func TestScaledD2DFacade(t *testing.T) {
 }
 
 func TestSalvageFacade(t *testing.T) {
-	a := newActuary(t)
+	s := newSession(t)
 	mk := func(spec *SalvageSpec) System {
 		return System{
 			Name: "s", Scheme: MCM, Quantity: 1,
@@ -316,14 +311,8 @@ func TestSalvageFacade(t *testing.T) {
 			}},
 		}
 	}
-	plain, err := a.RE(mk(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	harvested, err := a.RE(mk(&SalvageSpec{Fraction: 0.5, Value: 0.8}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := ask(t, s, Request{Question: QuestionRE, System: mk(nil)}).RE
+	harvested := ask(t, s, Request{Question: QuestionRE, System: mk(&SalvageSpec{Fraction: 0.5, Value: 0.8})}).RE
 	if harvested.Total() >= plain.Total() {
 		t.Error("harvesting should lower the total")
 	}
@@ -351,8 +340,7 @@ func TestMonteCarloFacade(t *testing.T) {
 }
 
 func TestDensityFacade(t *testing.T) {
-	a := newActuary(t)
-	scaled, err := a.Tech().ScaleArea(100, "7nm", "14nm")
+	scaled, err := newSession(t).Tech().ScaleArea(100, "7nm", "14nm")
 	if err != nil {
 		t.Fatal(err)
 	}

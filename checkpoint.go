@@ -22,16 +22,22 @@ import (
 // JSON so the checkpoint also survives crossing process and host
 // boundaries.
 //
-// The shapes, by layer:
+// The five forms, by layer (Checkpoint is their type set):
 //
 //   - SweepCheckpoint: one sweep-best walk (Session.SweepBestCheckpointed,
 //     cmd/explore -checkpoint).
+//   - SearchCheckpoint: one adaptive search walk
+//     (Session.SearchBestCheckpointed) — the planner's stage machine
+//     plus the cursor within the current stage.
 //   - StreamCheckpoint: a scenario result stream reduced through the
 //     online aggregators (ReduceCheckpointed over a StreamOrdered
 //     stream; /v1/stream's "resume" field replays delivery from its
 //     Next index).
-//   - CoordinatorCheckpoint: per-shard progress of a distributed run
-//     (distribute.Coordinator.SweepBestCheckpointed) — a restarted
+//   - FleetStreamCheckpoint: a striped stream
+//     (fleet.StreamCoordinator.StreamCheckpointed) — the merged cursor
+//     plus one delivery cursor per shard.
+//   - CoordinatorCheckpoint: per-shard progress of a sharded sweep
+//     (fleet.Coordinator.SweepBestCheckpointed) — a restarted
 //     coordinator re-dispatches only the shards that had not drained.
 
 // SweepCursor is the serializable resume point of a sweep walk: the
@@ -259,11 +265,17 @@ func (c *CoordinatorCheckpoint) Validate() error {
 	return nil
 }
 
+// Checkpoint is the type set of the five checkpoint forms — the only
+// types SaveCheckpointFile and LoadCheckpointFile accept.
+type Checkpoint interface {
+	SweepCheckpoint | SearchCheckpoint | StreamCheckpoint | FleetStreamCheckpoint | CoordinatorCheckpoint
+}
+
 // SaveCheckpointFile atomically persists a checkpoint: the JSON is
 // written to a temporary file in the target's directory, synced, and
 // renamed over path, so a crash — even an uncatchable SIGKILL — leaves
 // either the previous checkpoint or the new one, never a torn file.
-func SaveCheckpointFile(path string, cp any) error {
+func SaveCheckpointFile[T Checkpoint](path string, cp *T) error {
 	data, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("actuary: encoding checkpoint: %w", err)
@@ -292,66 +304,18 @@ func SaveCheckpointFile(path string, cp any) error {
 	return nil
 }
 
-// LoadSweepCheckpointFile reads and strictly decodes a sweep-walk
-// checkpoint. A missing file returns an error satisfying
-// errors.Is(err, os.ErrNotExist) — the caller's cue to start fresh.
-func LoadSweepCheckpointFile(path string) (*SweepCheckpoint, error) {
-	cp := new(SweepCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// LoadSearchCheckpointFile reads and strictly decodes an adaptive
-// search checkpoint; missing files report os.ErrNotExist.
-func LoadSearchCheckpointFile(path string) (*SearchCheckpoint, error) {
-	cp := new(SearchCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// LoadStreamCheckpointFile reads and strictly decodes a stream
-// checkpoint; missing files report os.ErrNotExist.
-func LoadStreamCheckpointFile(path string) (*StreamCheckpoint, error) {
-	cp := new(StreamCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// LoadFleetStreamCheckpointFile reads and strictly decodes a fleet
-// stream checkpoint; missing files report os.ErrNotExist.
-func LoadFleetStreamCheckpointFile(path string) (*FleetStreamCheckpoint, error) {
-	cp := new(FleetStreamCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// LoadCoordinatorCheckpointFile reads and strictly decodes a
-// coordinator checkpoint; missing files report os.ErrNotExist.
-func LoadCoordinatorCheckpointFile(path string) (*CoordinatorCheckpoint, error) {
-	cp := new(CoordinatorCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// loadCheckpointFile reads path into cp through the strict wire
-// decoders.
-func loadCheckpointFile(path string, cp any) error {
+// LoadCheckpointFile reads and strictly decodes a checkpoint of form
+// T through its wire decoder. A missing file returns an error
+// satisfying errors.Is(err, os.ErrNotExist) — the caller's cue to
+// start fresh.
+func LoadCheckpointFile[T Checkpoint](path string) (*T, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	cp := new(T)
 	if err := json.Unmarshal(data, cp); err != nil {
-		return fmt.Errorf("actuary: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("actuary: checkpoint %s: %w", path, err)
 	}
-	return nil
+	return cp, nil
 }

@@ -330,7 +330,7 @@ func TestSweepFingerprint(t *testing.T) {
 func TestSaveLoadCheckpointFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cp.json")
-	if _, err := actuary.LoadSweepCheckpointFile(path); !errors.Is(err, os.ErrNotExist) {
+	if _, err := actuary.LoadCheckpointFile[actuary.SweepCheckpoint](path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v, want os.ErrNotExist", err)
 	}
 	cp := &actuary.SweepCheckpoint{
@@ -341,7 +341,7 @@ func TestSaveLoadCheckpointFile(t *testing.T) {
 	if err := actuary.SaveCheckpointFile(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	back, err := actuary.LoadSweepCheckpointFile(path)
+	back, err := actuary.LoadCheckpointFile[actuary.SweepCheckpoint](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestSaveLoadCheckpointFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":1`), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := actuary.LoadSweepCheckpointFile(path); err == nil || errors.Is(err, os.ErrNotExist) {
+	if _, err := actuary.LoadCheckpointFile[actuary.SweepCheckpoint](path); err == nil || errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("corrupt file: %v, want a decode error", err)
 	}
 }
@@ -793,21 +793,21 @@ func TestFleetStreamCheckpointValidate(t *testing.T) {
 	}
 }
 
-func TestLoadFleetStreamCheckpointFile(t *testing.T) {
+func TestLoadCheckpointFileFleetStream(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.json")
 	cp := fleetStreamTestCheckpoint()
 	if err := actuary.SaveCheckpointFile(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	back, err := actuary.LoadFleetStreamCheckpointFile(path)
+	back, err := actuary.LoadCheckpointFile[actuary.FleetStreamCheckpoint](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mustJSON(t, back) != mustJSON(t, cp) {
 		t.Fatal("file round trip drifted")
 	}
-	if _, err := actuary.LoadFleetStreamCheckpointFile(filepath.Join(dir, "absent.json")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := actuary.LoadCheckpointFile[actuary.FleetStreamCheckpoint](filepath.Join(dir, "absent.json")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v", err)
 	}
 }

@@ -109,7 +109,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *topN != 0 || *pareto {
 		return fmt.Errorf("-top and -pareto require -scenario")
 	}
-	a, err := actuary.NewWithConfig(db, actuary.DefaultPackaging())
+	s, err := actuary.NewSession(actuary.WithTech(db))
 	if err != nil {
 		return err
 	}
@@ -118,7 +118,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		systems, err := pcfg.Build(a.Packaging())
+		systems, err := pcfg.Build(s.Packaging())
 		if err != nil {
 			return err
 		}
@@ -127,7 +127,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				systems[i].Quantity = *quantity
 			}
 		}
-		return renderPortfolio(out, a, pcfg.Name, systems, policy)
+		return renderPortfolio(out, s, pcfg.Name, systems, policy)
 	}
 
 	cfg, err := actuary.LoadSystemConfig(*configPath)
@@ -141,22 +141,23 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *quantity > 0 {
 		sys.Quantity = *quantity
 	}
-	tc, err := a.Total(sys, policy)
-	if err != nil {
-		return err
+	res := s.Evaluate(ctx, []actuary.Request{{Question: actuary.QuestionTotalCost, System: sys, Policy: policy}})[0]
+	if res.Err != nil {
+		return res.Err
 	}
+	tc := *res.TotalCost
 	for _, warning := range sys.Warnings() {
 		fmt.Fprintf(out, "warning: %s\n", warning)
 	}
 	if err := render(out, sys, tc); err != nil {
 		return err
 	}
-	if err := renderWafers(out, a, sys); err != nil {
+	if err := renderWafers(ctx, out, s, sys); err != nil {
 		return err
 	}
 	if *designs {
 		fmt.Fprintln(out)
-		return renderDesigns(out, a, sys, policy)
+		return renderDesigns(out, s, sys, policy)
 	}
 	return nil
 }
@@ -364,9 +365,9 @@ func renderAnswer(r actuary.Result) string {
 	}
 }
 
-func renderPortfolio(out io.Writer, a *actuary.Actuary, name string,
+func renderPortfolio(out io.Writer, s *actuary.Session, name string,
 	systems []actuary.System, policy actuary.AmortizationPolicy) error {
-	costs, err := a.Portfolio(systems, policy)
+	costs, err := s.Portfolio(systems, policy)
 	if err != nil {
 		return err
 	}
@@ -387,7 +388,7 @@ func renderPortfolio(out io.Writer, a *actuary.Actuary, name string,
 	if err := tab.WriteText(out); err != nil {
 		return err
 	}
-	res, err := a.Evaluator().NRE.Portfolio(systems, policy)
+	res, err := s.Evaluator().NRE.Portfolio(systems, policy)
 	if err != nil {
 		return err
 	}
@@ -401,8 +402,8 @@ func renderPortfolio(out io.Writer, a *actuary.Actuary, name string,
 	return inv.WriteText(out)
 }
 
-func renderDesigns(out io.Writer, a *actuary.Actuary, sys actuary.System, policy actuary.AmortizationPolicy) error {
-	res, err := a.Evaluator().NRE.Portfolio([]actuary.System{sys}, policy)
+func renderDesigns(out io.Writer, s *actuary.Session, sys actuary.System, policy actuary.AmortizationPolicy) error {
+	res, err := s.Evaluator().NRE.Portfolio([]actuary.System{sys}, policy)
 	if err != nil {
 		return err
 	}
@@ -460,14 +461,15 @@ func render(out io.Writer, sys actuary.System, tc actuary.TotalCost) error {
 	return dies.WriteText(out)
 }
 
-func renderWafers(out io.Writer, a *actuary.Actuary, sys actuary.System) error {
+func renderWafers(ctx context.Context, out io.Writer, s *actuary.Session, sys actuary.System) error {
 	if sys.Quantity <= 0 {
 		return nil
 	}
-	demand, err := a.Wafers(sys, sys.Quantity)
-	if err != nil {
-		return err
+	res := s.Evaluate(ctx, []actuary.Request{{Question: actuary.QuestionWafers, System: sys, Quantity: sys.Quantity}})[0]
+	if res.Err != nil {
+		return res.Err
 	}
+	demand := res.Wafers
 	tab := report.NewTable(
 		fmt.Sprintf("Wafer demand for %.0f units", sys.Quantity),
 		"node", "raw dies", "wafer starts")

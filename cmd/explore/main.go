@@ -34,21 +34,28 @@
 // stages, incumbent trajectory) to stderr. -checkpoint works as in
 // sweep mode; -backends/-fleet/-shards do not apply.
 //
-// With -backends the sweep is sharded across several evaluation
-// backends — actuaryd base URLs, or the literal "local" for an
-// in-process session — and the per-shard aggregates merge into
-// exactly the single-process answer (same top-K, Pareto front and
-// summary, whatever the fan-out). -shards overrides the default of
-// one shard per backend; smaller shards reassign more cheaply when a
-// backend dies mid-sweep.
+// With -backends or -fleet the sweep is sharded across several
+// evaluation backends — actuaryd base URLs, or the literal "local" for
+// an in-process session — on the fleet coordinator, and the per-shard
+// aggregates merge into exactly the single-process answer (same top-K,
+// Pareto front and summary, whatever the fan-out). Both flags take
+// the same list syntax and apply to stream mode too; scheduling
+// events and a per-backend report go to stderr.
 //
-// With -fleet the sweep runs on the health-aware elastic scheduler
-// instead: the same backend list syntax as -backends, but the grid is
+// -backends keeps the scheduler simple: no health probes, no
+// speculation, one shard per backend unless -shards says otherwise,
+// and a shard moves to another backend only after a completed
+// transport failure. A list with no live backend fails with a
+// transport error. Smaller shards (-shards) reassign more cheaply
+// when a backend dies mid-sweep.
+//
+// -fleet adds the health-aware behaviors: the grid is
 // over-partitioned, every backend is probed (mark-down/mark-up events
 // go to stderr), shards lost to dead or wedged backends are stolen by
 // live ones, and the last in-flight shards are speculatively
-// re-executed so one straggler cannot stall the run. The merged
-// answer is still byte-identical to the single-process sweep.
+// re-executed so one straggler cannot stall the run. One probe round
+// runs before dispatch; when no listed backend answers it, the run
+// fails with a transport error instead of waiting for a mark-up.
 // -fleet-probe-every tunes the probe cadence; -fleet-probe-timeout
 // bounds how long a single probe may hang before counting as a
 // failure (how fast a wedged-but-listening daemon is caught).
@@ -59,8 +66,8 @@
 // starting over, and the resumed output is byte-identical to an
 // uninterrupted run. FILE is removed when the sweep completes. Local
 // sweeps checkpoint the walk cursor every -checkpoint-every grid
-// candidates; distributed sweeps (-backends) checkpoint per drained
-// shard and re-dispatch only the missing shards on resume.
+// candidates; sharded sweeps (-backends or -fleet) checkpoint per
+// drained shard and re-dispatch only the missing shards on resume.
 //
 // Stream mode prints every result of the grid as NDJSON on stdout —
 // the same wire form /v1/stream serves — instead of aggregating:
@@ -75,9 +82,9 @@
 // or -fleet the scenario is striped across the listed backends and
 // the per-shard streams are merged back in order, byte-identical to
 // the single-backend stream; -fleet adds health probing, stealing and
-// speculation, and with -checkpoint the merged stream is durable — a
-// killed run resumes at the exact result the saved cursor names,
-// re-evaluating nothing that was already delivered.
+// speculation. With -checkpoint (and either flag) the merged stream
+// is durable — a killed run resumes at the exact result the saved
+// cursor names, re-evaluating nothing that was already delivered.
 package main
 
 import (
@@ -98,7 +105,6 @@ import (
 
 	"chipletactuary"
 	"chipletactuary/client"
-	"chipletactuary/distribute"
 	"chipletactuary/fleet"
 	"chipletactuary/internal/explore"
 	"chipletactuary/internal/report"
@@ -133,13 +139,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	countRange := fs.String("count-range", "", "sweep: partition-count axis lo:hi (default: 1:-maxk)")
 	topN := fs.Int("top", 5, "sweep: how many cheapest points to print")
 	questions := fs.String("questions", "", "stream: comma-separated scenario questions to stream (default optimal-chiplet-count)")
-	backends := fs.String("backends", "", "sweep: comma-separated evaluation backends (actuaryd URLs, or \"local\" for in-process); empty evaluates in-process")
-	fleetList := fs.String("fleet", "", "sweep: like -backends but on the health-aware fleet scheduler (probing, work stealing, speculation, mid-run joins)")
-	fleetProbeEvery := fs.Duration("fleet-probe-every", 500*time.Millisecond, "sweep: fleet health-probe interval")
-	fleetProbeTimeout := fs.Duration("fleet-probe-timeout", time.Second, "sweep: per-probe timeout before a backend counts as failed")
-	shards := fs.Int("shards", 0, "sweep: how many shards to split the grid into (default: one per backend; fleet over-partitions)")
-	checkpoint := fs.String("checkpoint", "", "sweep/search: checkpoint file — written during the run, auto-resumed when present, removed on success")
-	checkpointEvery := fs.Int("checkpoint-every", 2000, "sweep/search: grid candidates between checkpoint writes (local runs; distributed sweeps checkpoint per shard)")
+	backends := fs.String("backends", "", "sweep/stream: comma-separated evaluation backends (actuaryd URLs, or \"local\" for in-process); empty evaluates in-process")
+	fleetList := fs.String("fleet", "", "sweep/stream: like -backends but with health probing, work stealing and speculation")
+	fleetProbeEvery := fs.Duration("fleet-probe-every", 500*time.Millisecond, "sweep/stream: fleet health-probe interval")
+	fleetProbeTimeout := fs.Duration("fleet-probe-timeout", time.Second, "sweep/stream: per-probe timeout before a backend counts as failed")
+	shards := fs.Int("shards", 0, "sweep/stream: how many shards to split the grid into (default: one per backend; -fleet over-partitions)")
+	checkpoint := fs.String("checkpoint", "", "sweep/search/stream: checkpoint file — written during the run, auto-resumed when present, removed on success")
+	checkpointEvery := fs.Int("checkpoint-every", 2000, "sweep/search/stream: grid candidates (stream: delivered results) between checkpoint writes; sharded sweeps checkpoint per shard")
 	budget := fs.Int("budget", 0, "search: maximum candidates to evaluate (0 = unlimited)")
 	refine := fs.String("refine", "", "search: coarse-to-fine refinement factor[:knees], e.g. 4 or 4:2")
 	halving := fs.String("halving", "", "search: successive halving slabs:sample, e.g. 8:64")
@@ -205,7 +211,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			// evaluates); it runs in-process rather than fanning out.
 			for _, name := range []string{"backends", "fleet", "fleet-probe-every", "fleet-probe-timeout", "shards"} {
 				if set[name] {
-					return fmt.Errorf("-%s requires -mode sweep", name)
+					return fmt.Errorf("-%s requires -mode sweep or stream", name)
 				}
 			}
 			return runSearch(ctx, out, f)
@@ -226,10 +232,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		if *mode == "stream" {
 			// A checkpointed stream resumes through the fleet
-			// coordinator's cursor machinery; the other paths have no
-			// per-result durability to offer.
-			if *checkpoint != "" && *fleetList == "" {
-				return fmt.Errorf("-checkpoint in stream mode requires -fleet")
+			// coordinator's cursor machinery; the in-process stream has
+			// no per-result durability to offer.
+			if *checkpoint != "" && *backends == "" && *fleetList == "" {
+				return fmt.Errorf("-checkpoint in stream mode requires -backends or -fleet")
 			}
 			return runStream(ctx, out, f)
 		}
@@ -420,10 +426,8 @@ func runSweep(ctx context.Context, out io.Writer, f sweepFlags) error {
 		Sweeps: []actuary.SweepConfig{sc}}
 	var b *actuary.SweepBest
 	switch {
-	case f.fleet != "":
+	case f.backends != "" || f.fleet != "":
 		b, err = runFleet(ctx, f, cfg)
-	case f.backends != "":
-		b, err = runDistributed(ctx, f, cfg)
 	case f.checkpoint != "":
 		b, err = runCheckpointed(ctx, f, cfg)
 	default:
@@ -579,7 +583,7 @@ func runSearch(ctx context.Context, out io.Writer, f sweepFlags) error {
 		b, err = res.SearchBest, res.Err
 	} else {
 		var resume *actuary.SearchCheckpoint
-		switch cp, loadErr := actuary.LoadSearchCheckpointFile(f.checkpoint); {
+		switch cp, loadErr := actuary.LoadCheckpointFile[actuary.SearchCheckpoint](f.checkpoint); {
 		case loadErr == nil:
 			resume = cp
 			fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (stage %d, candidate %d)\n",
@@ -650,7 +654,7 @@ func runCheckpointed(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConf
 	}
 	req := reqs[0]
 	var resume *actuary.SweepCheckpoint
-	switch cp, err := actuary.LoadSweepCheckpointFile(f.checkpoint); {
+	switch cp, err := actuary.LoadCheckpointFile[actuary.SweepCheckpoint](f.checkpoint); {
 	case err == nil:
 		resume = cp
 		fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (candidate %d, %d feasible points so far)\n",
@@ -668,63 +672,23 @@ func runCheckpointed(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConf
 		})
 }
 
-// runDistributed fans the compiled sweep-best scenario across the
-// -backends list: "local" entries evaluate in-process, everything else
-// dials an actuaryd. The merged answer is identical to the
-// single-process one whatever the fan-out.
-func runDistributed(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfig) (*actuary.SweepBest, error) {
-	var backends []client.Backend
-	for _, name := range splitList(f.backends) {
-		if name == "local" {
-			s, err := actuary.NewSession()
-			if err != nil {
-				return nil, err
-			}
-			backends = append(backends, client.Local(s))
-			continue
-		}
-		c, err := client.Dial(name)
-		if err != nil {
-			return nil, err
-		}
-		backends = append(backends, c)
+// fleetSetup dials the -backends or -fleet list into a registry and
+// returns the coordinator options that give the flag its semantics,
+// plus a function that stops the health probes. -backends runs with
+// no monitor and no speculation, one shard per backend unless -shards
+// is set: a shard moves only after a completed transport failure, and
+// a list with no live backend fails with ErrTransport. -fleet attaches
+// a probing monitor; one probe round runs before dispatch, because a
+// run whose backends are all marked down parks until a mark-up that
+// may never come, and explore has no deadline to end it.
+func fleetSetup(ctx context.Context, f sweepFlags) (*fleet.Registry, []fleet.Option, func(), error) {
+	list := f.fleet
+	if f.backends != "" {
+		list = f.backends
 	}
-	var opts []distribute.Option
-	if f.shards > 0 {
-		opts = append(opts, distribute.WithShards(f.shards))
-	}
-	coord, err := distribute.New(backends, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if f.checkpoint == "" {
-		return coord.SweepBestScenario(ctx, cfg)
-	}
-	// Durable distributed run: progress is recorded shard by shard, and
-	// an existing checkpoint pre-merges the drained shards so only the
-	// missing ones are re-dispatched.
-	var resume *actuary.CoordinatorCheckpoint
-	switch cp, err := actuary.LoadCoordinatorCheckpointFile(f.checkpoint); {
-	case err == nil:
-		resume = cp
-		fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (%d of %d shards drained)\n",
-			f.checkpoint, len(cp.Completed), cp.Shards)
-	case !errors.Is(err, os.ErrNotExist):
-		return nil, err
-	}
-	return coord.SweepBestScenarioCheckpointed(ctx, cfg, resume,
-		func(cp *actuary.CoordinatorCheckpoint) error {
-			return actuary.SaveCheckpointFile(f.checkpoint, cp)
-		})
-}
-
-// fleetSetup dials the -fleet list into a registry, wires the event
-// printer, and starts the health-probe loop. The returned stop
-// function ends probing.
-func fleetSetup(ctx context.Context, f sweepFlags) (*fleet.Registry, *fleet.Monitor, func(fleet.Event), func(), error) {
 	reg := fleet.NewRegistry()
 	used := make(map[string]int)
-	for _, name := range splitList(f.fleet) {
+	for _, name := range splitList(list) {
 		label := name
 		if n := used[name]; n > 0 {
 			label = fmt.Sprintf("%s#%d", name, n+1)
@@ -734,18 +698,18 @@ func fleetSetup(ctx context.Context, f sweepFlags) (*fleet.Registry, *fleet.Moni
 		if name == "local" {
 			s, err := actuary.NewSession()
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, nil, err
 			}
 			backend = client.Local(s)
 		} else {
 			c, err := client.Dial(name)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, nil, err
 			}
 			backend = c
 		}
 		if err := reg.Add(label, backend); err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 
@@ -761,34 +725,44 @@ func fleetSetup(ctx context.Context, f sweepFlags) (*fleet.Registry, *fleet.Moni
 			fmt.Fprintf(os.Stderr, "explore: fleet: %s %s: %s\n", ev.Backend, ev.Kind, ev.Detail)
 		}
 	}
+	opts := []fleet.Option{fleet.WithEvents(logEvent), fleet.WithShards(f.shards)}
+	if f.backends != "" {
+		opts = append(opts, fleet.WithOverPartition(1), fleet.WithSpeculation(false))
+		return reg, opts, func() {}, nil
+	}
 	mon, err := fleet.NewMonitor(reg,
 		fleet.ProbeEvery(f.fleetProbeEvery), fleet.ProbeTimeout(f.fleetProbeTimeout),
 		fleet.MonitorEvents(logEvent))
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
+	}
+	mon.ProbeOnce(ctx)
+	var down []string
+	for _, h := range mon.Snapshot() {
+		if h.State == fleet.StateDown {
+			down = append(down, fmt.Sprintf("%s (%v)", h.Name, h.LastErr))
+		}
+	}
+	if len(down) > 0 && len(down) == reg.Len() {
+		return nil, nil, nil, &actuary.Error{Code: actuary.ErrTransport, Index: -1, Question: -1,
+			Err: fmt.Errorf("no -fleet backend answered its first probe: %s", strings.Join(down, ", "))}
 	}
 	probeCtx, stopProbes := context.WithCancel(ctx)
 	go mon.Run(probeCtx)
-	return reg, mon, logEvent, stopProbes, nil
+	return reg, append(opts, fleet.WithMonitor(mon)), stopProbes, nil
 }
 
-// runFleet fans the compiled sweep-best scenario across the -fleet
-// list on the health-aware scheduler: every backend is probed on a
-// cadence, mark-down/mark-up and scheduling events stream to stderr,
-// and the run ends with a per-backend scheduling report. The merged
-// answer is identical to the single-process one whatever died, hung
-// or joined along the way.
+// runFleet fans the compiled sweep-best scenario across the -backends
+// or -fleet list: scheduling events stream to stderr, and the run ends
+// with a per-backend scheduling report. The merged answer is identical
+// to the single-process one whatever died, hung or joined along the
+// way.
 func runFleet(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfig) (*actuary.SweepBest, error) {
-	reg, mon, logEvent, stopProbes, err := fleetSetup(ctx, f)
+	reg, opts, stop, err := fleetSetup(ctx, f)
 	if err != nil {
 		return nil, err
 	}
-	defer stopProbes()
-
-	opts := []fleet.Option{fleet.WithMonitor(mon), fleet.WithEvents(logEvent)}
-	if f.shards > 0 {
-		opts = append(opts, fleet.WithShards(f.shards))
-	}
+	defer stop()
 	coord, err := fleet.New(reg, opts...)
 	if err != nil {
 		return nil, err
@@ -799,7 +773,7 @@ func runFleet(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfig) (*a
 		best, err = coord.SweepBestScenario(ctx, cfg)
 	} else {
 		var resume *actuary.CoordinatorCheckpoint
-		switch cp, loadErr := actuary.LoadCoordinatorCheckpointFile(f.checkpoint); {
+		switch cp, loadErr := actuary.LoadCheckpointFile[actuary.CoordinatorCheckpoint](f.checkpoint); {
 		case loadErr == nil:
 			resume = cp
 			fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (%d of %d shards drained)\n",
@@ -837,10 +811,9 @@ func printFleetStats(st fleet.Stats) {
 // runStream answers the grid flags as an NDJSON result stream on
 // stdout — the same wire form /v1/stream serves, one canonical JSON
 // line per result in request order — instead of aggregating. Without
-// backends the stream is evaluated in-process; with -backends it is
-// striped across the distribute coordinator; with -fleet it runs on
-// the health-aware striped-stream coordinator, optionally durable via
-// -checkpoint. Every path emits byte-identical output.
+// backends the stream is evaluated in-process; with -backends or
+// -fleet it is striped across the fleet stream coordinator, optionally
+// durable via -checkpoint. Every path emits byte-identical output.
 func runStream(ctx context.Context, out io.Writer, f sweepFlags) error {
 	sc, err := buildSweepConfig(f, "stream")
 	if err != nil {
@@ -878,72 +851,34 @@ func runStream(ctx context.Context, out io.Writer, f sweepFlags) error {
 		return w.Flush()
 	}
 
-	switch {
-	case f.fleet != "":
+	if f.backends != "" || f.fleet != "" {
 		return runFleetStream(ctx, f, cfg, w, emit, drain)
-	case f.backends != "":
-		var backends []client.Backend
-		for _, name := range splitList(f.backends) {
-			if name == "local" {
-				s, err := actuary.NewSession()
-				if err != nil {
-					return err
-				}
-				backends = append(backends, client.Local(s))
-				continue
-			}
-			c, err := client.Dial(name)
-			if err != nil {
-				return err
-			}
-			backends = append(backends, c)
-		}
-		var opts []distribute.Option
-		if f.shards > 0 {
-			opts = append(opts, distribute.WithShards(f.shards))
-		}
-		coord, err := distribute.New(backends, opts...)
-		if err != nil {
-			return err
-		}
-		ch, err := coord.Stream(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		return drain(ch)
-	default:
-		s, err := actuary.NewSession()
-		if err != nil {
-			return err
-		}
-		ch, err := client.Local(s).Stream(ctx, client.StreamRequest{Scenario: cfg, Ordered: true})
-		if err != nil {
-			return err
-		}
-		return drain(ch)
 	}
-}
-
-// runFleetStream stripes the stream scenario across the -fleet list
-// on the health-aware scheduler and merges the shard streams back
-// into single-backend order. With -checkpoint the merged cursor is
-// saved every -checkpoint-every results — stdout is flushed before
-// each save, so the cursor never claims a result that is not durably
-// written — and an existing checkpoint resumes the stream at the
-// exact next result, re-evaluating none of the delivered prefix.
-func runFleetStream(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfig, w *bufio.Writer, emit func(actuary.Result) error, drain func(<-chan actuary.Result) error) error {
-	reg, mon, logEvent, stopProbes, err := fleetSetup(ctx, f)
+	s, err := actuary.NewSession()
 	if err != nil {
 		return err
 	}
-	defer stopProbes()
-
-	opts := []fleet.Option{fleet.WithMonitor(mon), fleet.WithEvents(logEvent),
-		fleet.WithStreamTopK(f.top)}
-	if f.shards > 0 {
-		opts = append(opts, fleet.WithShards(f.shards))
+	ch, err := client.Local(s).Stream(ctx, client.StreamRequest{Scenario: cfg, Ordered: true})
+	if err != nil {
+		return err
 	}
-	coord, err := fleet.NewStream(reg, opts...)
+	return drain(ch)
+}
+
+// runFleetStream stripes the stream scenario across the -backends or
+// -fleet list and merges the shard streams back into single-backend
+// order. With -checkpoint the merged cursor is saved every
+// -checkpoint-every results — stdout is flushed before each save, so
+// the cursor never claims a result that is not durably written — and
+// an existing checkpoint resumes the stream at the exact next result,
+// re-evaluating none of the delivered prefix.
+func runFleetStream(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfig, w *bufio.Writer, emit func(actuary.Result) error, drain func(<-chan actuary.Result) error) error {
+	reg, opts, stop, err := fleetSetup(ctx, f)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	coord, err := fleet.NewStream(reg, append(opts, fleet.WithStreamTopK(f.top))...)
 	if err != nil {
 		return err
 	}
@@ -959,7 +894,7 @@ func runFleetStream(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfi
 	}
 
 	var resume *actuary.FleetStreamCheckpoint
-	switch cp, loadErr := actuary.LoadFleetStreamCheckpointFile(f.checkpoint); {
+	switch cp, loadErr := actuary.LoadCheckpointFile[actuary.FleetStreamCheckpoint](f.checkpoint); {
 	case loadErr == nil:
 		resume = cp
 		fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (%d results delivered across %d shards)\n",

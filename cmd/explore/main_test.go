@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"chipletactuary"
 )
 
 func TestPaybackMode(t *testing.T) {
@@ -224,5 +230,100 @@ func TestSweepModeBackendsPartialFailure(t *testing.T) {
 	}
 	if single.String() != dist.String() {
 		t.Errorf("distributed output diverged:\n--- single\n%s--- distributed\n%s", single.String(), dist.String())
+	}
+}
+
+func TestStreamMode(t *testing.T) {
+	args := func(extra ...string) []string {
+		return append([]string{"-mode", "stream", "-questions", "total-cost,optimal-chiplet-count",
+			"-nodes", "5nm,7nm", "-schemes", "MCM,2.5D",
+			"-area-range", "200:860:220", "-count-range", "1:4"}, extra...)
+	}
+	var single bytes.Buffer
+	if err := run(context.Background(), args(), &single); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(single.String(), "\n"); n < 20 {
+		t.Fatalf("in-process stream emitted %d lines; the grid is too small to stripe", n)
+	}
+	// Striped streams on either flag, checkpointed or not, emit exactly
+	// the in-process NDJSON.
+	cp := filepath.Join(t.TempDir(), "stream.ckpt")
+	for _, extra := range [][]string{
+		{"-backends", "local,local,local", "-shards", "5"},
+		{"-fleet", "local,local", "-shards", "4"},
+		{"-backends", "local,local", "-checkpoint", cp, "-checkpoint-every", "7"},
+	} {
+		var striped bytes.Buffer
+		if err := run(context.Background(), args(extra...), &striped); err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+		if striped.String() != single.String() {
+			t.Errorf("%v: striped stream diverged:\n--- single\n%s--- striped\n%s", extra, single.String(), striped.String())
+		}
+	}
+	if _, err := os.Stat(cp); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("checkpoint file not removed after success: %v", err)
+	}
+	for _, bad := range [][]string{
+		args("-checkpoint", cp), // in-process streams have no cursor to save
+		args("-backends", "local", "-fleet", "local"),
+		args("-backends", "local", "-fleet-probe-every", "1s"),
+		{"-mode", "stream", "-top", "0", "-backends", "local"},
+	} {
+		var buf bytes.Buffer
+		if err := run(context.Background(), bad, &buf); err == nil {
+			t.Errorf("args %v should fail", bad)
+		}
+	}
+}
+
+// TestFleetFailsFastWhenNoBackendAnswers: a -fleet list whose every
+// backend fails its first probe must end with a transport error, not
+// park waiting for a mark-up. The wedged daemon accepts connections
+// and never answers — its probes time out and its evaluations hang —
+// so only the pre-dispatch probe round can end the run before the
+// deadline. A list with one live backend still prints the
+// single-process answer.
+func TestFleetFailsFastWhenNoBackendAnswers(t *testing.T) {
+	release := make(chan struct{})
+	wedged := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer wedged.Close()
+	defer close(release)
+
+	grid := []string{"-nodes", "5nm,7nm", "-area-range", "200:500:100", "-count-range", "1:4", "-top", "3"}
+	probe := []string{"-fleet-probe-timeout", "100ms"}
+	for _, mode := range []string{"sweep", "stream"} {
+		args := func(extra ...string) []string {
+			return append(append([]string{"-mode", mode}, grid...), extra...)
+		}
+		for _, list := range []string{"http://127.0.0.1:1", wedged.URL, "http://127.0.0.1:1," + wedged.URL} {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			var buf bytes.Buffer
+			err := run(ctx, args(append(probe, "-fleet", list)...), &buf)
+			expired := ctx.Err()
+			cancel()
+			if expired != nil {
+				t.Fatalf("%s -fleet %s: still running at the deadline (%v)", mode, list, err)
+			}
+			if ae, ok := actuary.AsError(err); !ok || ae.Code != actuary.ErrTransport {
+				t.Errorf("%s -fleet %s: err = %v, want a transport error", mode, list, err)
+			}
+		}
+		var single, mixed bytes.Buffer
+		if err := run(context.Background(), args(), &single); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(context.Background(), args("-fleet", "local,http://127.0.0.1:1"), &mixed); err != nil {
+			t.Fatalf("%s with one live backend: %v", mode, err)
+		}
+		if mixed.String() != single.String() {
+			t.Errorf("%s with one live backend diverged:\n--- single\n%s--- fleet\n%s", mode, single.String(), mixed.String())
+		}
 	}
 }

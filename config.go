@@ -189,7 +189,7 @@ type ScenarioConfig struct {
 	// into the whole-grid answer (see SweepBestMerger). The ShardCount
 	// streams of a scenario together cover exactly the unsharded
 	// stream. POST /v1/stream honors the spec, which is how the
-	// distribute coordinator fans one scenario across daemons.
+	// fleet coordinators fan one scenario across daemons.
 	ShardIndex int `json:"shard_index,omitempty"`
 	ShardCount int `json:"shard_count,omitempty"`
 	// Resume requests resumable delivery: results are emitted in

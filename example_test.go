@@ -65,7 +65,7 @@ func ExampleSession_Evaluate_errorIsolation() {
 
 // The basic question: monolithic SoC or two chiplets?
 func Example() {
-	a, err := actuary.New()
+	s, err := actuary.NewSession()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,22 +75,24 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	socTC, err := a.Total(soc, actuary.PerSystemUnit)
-	if err != nil {
-		log.Fatal(err)
+	results := s.Evaluate(context.Background(), []actuary.Request{
+		{Question: actuary.QuestionTotalCost, System: soc, Policy: actuary.PerSystemUnit},
+		{Question: actuary.QuestionTotalCost, System: mcm, Policy: actuary.PerSystemUnit},
+	})
+	for _, r := range results {
+		if r.Err != nil {
+			log.Fatal(r.Err)
+		}
 	}
-	mcmTC, err := a.Total(mcm, actuary.PerSystemUnit)
-	if err != nil {
-		log.Fatal(err)
-	}
+	socTC, mcmTC := results[0].TotalCost, results[1].TotalCost
 	fmt.Printf("at 2M units the 2-chiplet MCM is cheaper: %v\n", mcmTC.Total() < socTC.Total())
 	// Output:
 	// at 2M units the 2-chiplet MCM is cheaper: true
 }
 
 // RE breakdown of a single system, following the paper's §3.2 split.
-func ExampleActuary_RE() {
-	a, err := actuary.New()
+func ExampleSession_Evaluate_recurringCost() {
+	s, err := actuary.NewSession()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,10 +101,11 @@ func ExampleActuary_RE() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	re, err := a.RE(sys)
-	if err != nil {
-		log.Fatal(err)
+	r := s.Evaluate(context.Background(), []actuary.Request{{Question: actuary.QuestionRE, System: sys}})[0]
+	if r.Err != nil {
+		log.Fatal(r.Err)
 	}
+	re := r.RE
 	fmt.Printf("five components sum to the total: %v\n",
 		re.RawChips+re.ChipDefects+re.RawPackage+re.PackageDefects+re.WastedKGD == re.Total())
 	fmt.Printf("2.5D packaging is a heavy line item: %v\n", re.PackagingTotal() > re.Total()/4)
@@ -112,20 +115,20 @@ func ExampleActuary_RE() {
 }
 
 // Chiplet reuse across a product family (the §5.1 SCMS scheme).
-func ExampleActuary_Portfolio() {
-	a, err := actuary.New()
+func ExampleSession_Portfolio() {
+	s, err := actuary.NewSession()
 	if err != nil {
 		log.Fatal(err)
 	}
 	family, err := actuary.SCMS(actuary.SCMSConfig{
 		Node: "7nm", ModuleAreaMM2: 200, Counts: []int{1, 2, 4},
 		Scheme: actuary.MCM, QuantityPerSystem: 500_000,
-		Params: a.Packaging(),
+		Params: s.Packaging(),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	costs, err := a.Portfolio(family, actuary.PerSystemUnit)
+	costs, err := s.Portfolio(family, actuary.PerSystemUnit)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -139,8 +142,8 @@ func ExampleActuary_Portfolio() {
 }
 
 // Where does the multi-chip design start paying back?
-func ExampleActuary_CrossoverQuantity() {
-	a, err := actuary.New()
+func ExampleSession_Evaluate_crossoverQuantity() {
+	s, err := actuary.NewSession()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -150,10 +153,12 @@ func ExampleActuary_CrossoverQuantity() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	q, err := a.CrossoverQuantity(soc, mcm)
-	if err != nil {
-		log.Fatal(err)
+	r := s.Evaluate(context.Background(), []actuary.Request{{Question: actuary.QuestionCrossoverQuantity,
+		Incumbent: soc, Challenger: mcm}})[0]
+	if r.Err != nil {
+		log.Fatal(r.Err)
 	}
+	q := r.Quantity
 	fmt.Printf("pays back within the paper's (500k, 2M] bracket: %v\n",
 		q > 500_000 && q <= 2_000_000)
 	// Output:

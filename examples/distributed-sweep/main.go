@@ -5,11 +5,13 @@
 // The program is self-contained — it launches two daemons on
 // kernel-assigned ports in this very process (each an ordinary
 // server.New over its own Session, exactly what cmd/actuaryd runs),
-// dials them through the typed client, and hands all three backends to
-// a distribute.Coordinator. The coordinator splits the grid's
-// candidate space into shards, dispatches one per backend, reassigns
-// shards if a backend dies mid-sweep, and merges the online aggregates
-// as shards drain. The punchline is the determinism guarantee: the
+// dials them through the typed client, and registers all three
+// backends with a fleet.Coordinator in the configuration explore
+// -backends runs (no health monitor, no speculation). The coordinator
+// splits the grid's candidate space into shards, hands them to the
+// backends, reassigns a shard if its backend dies mid-sweep, and
+// merges the online aggregates as shards drain. The punchline is the
+// determinism guarantee: the
 // merged top-K and Pareto front are byte-identical to an unsharded
 // local evaluation, which the program verifies before printing.
 //
@@ -26,7 +28,7 @@ import (
 
 	"chipletactuary"
 	"chipletactuary/client"
-	"chipletactuary/distribute"
+	"chipletactuary/fleet"
 	"chipletactuary/server"
 )
 
@@ -72,22 +74,26 @@ func main() {
 
 	// Two real daemons (wire protocol over HTTP) plus one in-process
 	// session: the Backend interface makes them interchangeable.
-	var backends []client.Backend
-	for i := 0; i < 2; i++ {
+	reg := fleet.NewRegistry()
+	for _, name := range []string{"daemon-1", "daemon-2"} {
 		b, stop, err := daemon()
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer stop()
-		backends = append(backends, b)
+		if err := reg.Add(name, b); err != nil {
+			log.Fatal(err)
+		}
 	}
 	local, err := actuary.NewSession()
 	if err != nil {
 		log.Fatal(err)
 	}
-	backends = append(backends, client.Local(local))
+	if err := reg.Add("local", client.Local(local)); err != nil {
+		log.Fatal(err)
+	}
 
-	coord, err := distribute.New(backends, distribute.WithShards(6))
+	coord, err := fleet.New(reg, fleet.WithShards(6), fleet.WithSpeculation(false))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +114,7 @@ func main() {
 	}
 
 	fmt.Printf("\n%d points explored across %d backends (%d pruned, %d deduped); top %d:\n",
-		merged.Summary.Count, len(backends), merged.Pruned, merged.Deduped, len(merged.Top))
+		merged.Summary.Count, reg.Len(), merged.Pruned, merged.Deduped, len(merged.Top))
 	for i, p := range merged.Top {
 		fmt.Printf("%d. %-34s %s %-4v k=%d  $%8.2f/unit\n",
 			i+1, p.ID, p.Node, p.Scheme, p.K, p.Total.Total())

@@ -85,9 +85,9 @@ func WithMonitor(m *Monitor) Option {
 }
 
 // WithSpeculation turns speculative re-execution of in-flight shards
-// on or off. Default on. Off, a shard runs on one backend at a time —
-// distribute's semantics, where only a completed failure (not mere
-// slowness) moves a shard.
+// on or off. Default on. Off, a shard runs on one backend at a time
+// and only a completed failure (not mere slowness) moves it — the
+// semantics of cmd/explore -backends.
 func WithSpeculation(on bool) Option {
 	return func(c *Coordinator) error {
 		c.speculate = on
@@ -188,23 +188,34 @@ func (c *Coordinator) emit(ev Event) {
 }
 
 // SweepBest answers one sweep-best request by fanning its grid across
-// the fleet. The contract is distribute.Coordinator.SweepBest's — the
-// merged answer is byte-identical to the unsharded sweep — plus the
-// fleet behaviors: backends marked down are skipped, shards lost to a
-// dead backend are stolen by live ones, stragglers are hedged by
-// speculative re-execution, and backends added to the registry
-// mid-run are put to work.
+// the fleet: shard i of n is dispatched as the same request with the
+// shard spec stamped on, and the partial answers merge — as shards
+// drain — into exactly the answer a single unsharded evaluation would
+// produce. The request must carry a Grid, ask QuestionSweepBest (the
+// zero Question is promoted), and not carry a shard spec of its own.
+//
+// A backend that fails a shard on transport is excluded from that
+// shard and the shard goes back to the pool; evaluation failures (bad
+// grid, unknown node) abort the run. Backends marked down are skipped,
+// stragglers are hedged by speculative re-execution (unless
+// WithSpeculation(false)), and backends added to the registry mid-run
+// are put to work.
 func (c *Coordinator) SweepBest(ctx context.Context, req actuary.Request) (*actuary.SweepBest, error) {
 	return c.SweepBestCheckpointed(ctx, req, nil, nil)
 }
 
-// SweepBestCheckpointed is SweepBest with per-shard durability,
-// mirroring distribute.Coordinator.SweepBestCheckpointed: every shard
-// drain snapshots progress into a CoordinatorCheckpoint handed to
-// save, and resume merges a prior run's drained shards up front,
-// re-dispatching only the rest. resume must match this workload's
-// fingerprint and this coordinator's shard count. Speculative
-// duplicates never reach the checkpoint — a shard drains exactly once.
+// SweepBestCheckpointed is SweepBest with per-shard durability: every
+// shard drain snapshots progress into a CoordinatorCheckpoint handed
+// to save (persist it with actuary.SaveCheckpointFile), and resume
+// merges a prior run's drained shards up front, re-dispatching only
+// the rest — completed work, possibly hours of it spread over many
+// hosts, is never re-walked. resume must match this workload's
+// fingerprint (SweepFingerprint of the request) and this
+// coordinator's shard count; a mismatch is rejected rather than
+// silently merging two different sweeps. Save calls are serialized
+// and receive a snapshot that does not alias the run's state; a save
+// error aborts the run. Speculative duplicates never reach the
+// checkpoint — a shard drains exactly once.
 func (c *Coordinator) SweepBestCheckpointed(ctx context.Context, req actuary.Request, resume *actuary.CoordinatorCheckpoint, save func(*actuary.CoordinatorCheckpoint) error) (*actuary.SweepBest, error) {
 	if req.Question == 0 {
 		req.Question = actuary.QuestionSweepBest
@@ -433,7 +444,9 @@ func (c *Coordinator) recordStats(sched *scheduler, shards int) {
 
 // SweepBestScenario answers the single sweep-best question of a
 // scenario by fanning it across the fleet — the scenario-file face of
-// SweepBest, used by cmd/explore -fleet.
+// SweepBest, used by cmd/explore -backends and -fleet. The scenario
+// must compile to exactly one request, a sweep-best (one sweep, the
+// "sweep-best" question, no explicit systems).
 func (c *Coordinator) SweepBestScenario(ctx context.Context, cfg actuary.ScenarioConfig) (*actuary.SweepBest, error) {
 	return c.SweepBestScenarioCheckpointed(ctx, cfg, nil, nil)
 }

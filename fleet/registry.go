@@ -1,7 +1,19 @@
-// Package fleet turns a fixed set of evaluation backends into an
-// elastic, health-aware pool. Where package distribute fans a sweep
-// over backends it assumes are equally fast and permanently alive,
-// fleet adds the machinery real deployments need:
+// Package fleet fans one design-space sweep, or one scenario stream,
+// across many evaluation backends — in-process Sessions, remote
+// actuaryd daemons, or a mix — and merges the per-shard answers back
+// into exactly the single-process answer. Coordinator splits a
+// sweep-best question into candidate-space shards (see
+// actuary.Request's ShardIndex/ShardCount) and merges top-K, Pareto
+// front, summary and pruning statistics as shards drain;
+// StreamCoordinator stripes a scenario stream and interleaves the
+// shard streams back into request order. Transport failures move a
+// shard to another backend; deterministic evaluation failures abort
+// the run, since every backend would reproduce them. A run can be
+// made durable: the shard is the checkpoint unit
+// (CoordinatorCheckpoint, FleetStreamCheckpoint).
+//
+// The scheduler scales from a fixed list to an elastic, health-aware
+// pool:
 //
 //   - a Registry backends can join and leave while a sweep is running,
 //   - a Monitor that probes each backend's health and load and feeds
@@ -12,11 +24,27 @@
 //   - a Resizer that grows and shrinks an in-process Session's worker
 //     pool from its own back-pressure metrics.
 //
-// The merge semantics are inherited unchanged from distribute: every
-// shard is merged exactly once (speculative duplicates are discarded
-// at the scheduler, first result wins), so the final answer stays
-// byte-identical to the single-process sweep no matter how many
-// backends raced, died, or joined late.
+// Without a monitor and with WithSpeculation(false) and one shard per
+// backend (WithOverPartition(1)), a shard runs on one backend at a
+// time and moves only after a completed transport failure; a list
+// with no live backend fails with ErrTransport instead of parking.
+// cmd/explore -backends runs that configuration, -fleet the full one.
+//
+// Every shard is merged exactly once (speculative duplicates are
+// discarded at the scheduler, first result wins), so the final answer
+// stays byte-identical to the single-process sweep no matter how many
+// backends raced, died, or joined late. Byte-identity assumes backends
+// computing identical floats (same Go version and CPU architecture);
+// across a heterogeneous fleet, last-ulp cost differences can resolve
+// an exact tie differently.
+//
+//	reg := fleet.NewRegistry()
+//	reg.Add("local", client.Local(session))
+//	reg.Add("remote", remote)
+//	coord, err := fleet.New(reg)
+//	best, err := coord.SweepBest(ctx, actuary.Request{
+//	    Question: actuary.QuestionSweepBest, Grid: &grid, TopK: 5,
+//	})
 package fleet
 
 import (

@@ -12,11 +12,11 @@ import (
 // and burn fleet capacity the tail of the sweep wants back.
 const speculationCap = 2
 
-// task is one shard of the sweep as the scheduler tracks it. Unlike
-// distribute's pending-queue entries, a task is never removed from the
-// scheduler while the run lives: tried and running record its full
-// history so work stealing and speculative re-execution can reason
-// about who has it and who already dropped it.
+// task is one shard of the sweep as the scheduler tracks it. A task
+// is never removed from the scheduler while the run lives: tried and
+// running record its full history so work stealing and speculative
+// re-execution can reason about who has it and who already dropped
+// it.
 type task struct {
 	index   int
 	owner   int // first backend to start it; -1 until started
@@ -41,8 +41,8 @@ type backendTally struct {
 	transportFailures int
 }
 
-// scheduler hands shards to backend workers. It extends distribute's
-// pending-list-plus-condvar design with three fleet behaviors:
+// scheduler hands shards to backend workers: a pending list plus a
+// condition variable, with three fleet behaviors on top:
 //
 //   - health gating: a worker whose backend the monitor marked down
 //     parks instead of taking work, and wakes on mark-up;

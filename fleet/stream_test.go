@@ -211,20 +211,29 @@ func (b *truncatingBackend) Stream(ctx context.Context, req client.StreamRequest
 	return out, nil
 }
 
-// heldBackend holds each stream until release closes. The wait is
-// bounded, so a fault that never fires fails the test instead of
-// hanging it.
+// heldBackend holds each evaluation and stream until release closes.
+// The wait is bounded, so a fault that never fires fails the test
+// instead of hanging it.
 type heldBackend struct {
 	client.Backend
 	release <-chan struct{}
 }
 
-func (h heldBackend) Stream(ctx context.Context, req client.StreamRequest) (<-chan actuary.Result, error) {
+func (h heldBackend) hold(ctx context.Context) {
 	select {
 	case <-h.release:
 	case <-ctx.Done():
 	case <-time.After(10 * time.Second):
 	}
+}
+
+func (h heldBackend) Evaluate(ctx context.Context, reqs []actuary.Request) ([]actuary.Result, error) {
+	h.hold(ctx)
+	return h.Backend.Evaluate(ctx, reqs)
+}
+
+func (h heldBackend) Stream(ctx context.Context, req client.StreamRequest) (<-chan actuary.Result, error) {
+	h.hold(ctx)
 	return h.Backend.Stream(ctx, req)
 }
 
@@ -424,7 +433,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 	if err := actuary.SaveCheckpointFile(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	resume, err := actuary.LoadFleetStreamCheckpointFile(path)
+	resume, err := actuary.LoadCheckpointFile[actuary.FleetStreamCheckpoint](path)
 	if err != nil {
 		t.Fatal(err)
 	}

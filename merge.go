@@ -36,7 +36,7 @@ func newSweepPareto() *sweep.Pareto[SweepPoint] {
 }
 
 // ShardID labels shard index of count of a request ID — the one format
-// both the scenario compiler and the distribute coordinator stamp, so
+// both the scenario compiler and the fleet coordinator stamp, so
 // shard requests correlate across logs, metrics and results whichever
 // path dispatched them.
 func ShardID(id string, index, count int) string {
@@ -137,8 +137,8 @@ func (m *SweepBestMerger) Result(gridName string) (*SweepBest, error) {
 // or err unchanged. Shard failures that crossed a process boundary
 // arrive wrapped in the structured wire form while in-process ones
 // are raw chains; rendering the cause gives identical text either
-// way, which is what keeps distributed CLI output byte-identical to
-// the single-process run.
+// way, which is what keeps sharded CLI output byte-identical to the
+// single-process run.
 func FailureCause(err error) error {
 	if ae, ok := AsError(err); ok && ae.Err != nil {
 		return ae.Err

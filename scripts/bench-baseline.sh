@@ -44,8 +44,8 @@ echo "bench-baseline: running BenchmarkSessionStreamSweep" >&2
 go test -run '^$' -bench '^BenchmarkSessionStreamSweep$' -benchmem -benchtime 20x . \
   > "$tmp/stream.txt"
 echo "bench-baseline: running BenchmarkDistributedSweep" >&2
-go test -run '^$' -bench '^BenchmarkDistributedSweep$' -benchmem -benchtime 2x ./distribute \
-  > "$tmp/distribute.txt"
+go test -run '^$' -bench '^BenchmarkDistributedSweep$' -benchmem -benchtime 2x ./fleet \
+  > "$tmp/fleet.txt"
 echo "bench-baseline: running BenchmarkSearchBest" >&2
 go test -run '^$' -bench '^BenchmarkSearchBest$' -benchmem -benchtime 2x . \
   > "$tmp/search.txt"
@@ -83,7 +83,7 @@ parse() {
   ' "$1"
 }
 
-{ parse "$tmp/stream.txt" 568; parse "$tmp/distribute.txt" 50736; parse "$tmp/search.txt" 112008; } | sed '$ s/,$//' > "$tmp/bench.jsonl"
+{ parse "$tmp/stream.txt" 568; parse "$tmp/fleet.txt" 50736; parse "$tmp/search.txt" 112008; } | sed '$ s/,$//' > "$tmp/bench.jsonl"
 
 # delta_vs: ratios against the newest previous checked-in baseline
 # (any BENCH_*.json other than the file being written).

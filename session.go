@@ -351,9 +351,9 @@ type Session struct {
 	metrics      *sessionMetrics
 }
 
-// NewSession builds a Session. With no options it mirrors New():
-// built-in technology database, calibrated packaging parameters, one
-// worker per CPU, and a DefaultCacheSize-entry KGD cache.
+// NewSession builds a Session. With no options it uses the built-in
+// technology database, calibrated packaging parameters, one worker
+// per CPU, and a DefaultCacheSize-entry KGD cache.
 func NewSession(opts ...Option) (*Session, error) {
 	cfg := sessionConfig{workers: runtime.GOMAXPROCS(0), cacheSize: DefaultCacheSize,
 		partialsSize: DefaultPartialsCacheSize}

@@ -76,17 +76,14 @@ func TestSessionEvaluateMixedBatch(t *testing.T) {
 	if results[5].AreaMM2 <= 0 {
 		t.Error("area-crossover payload missing")
 	}
-	// The batch answers must agree with the single-shot legacy API.
-	a, err := actuary.New()
-	if err != nil {
-		t.Fatal(err)
+	// The batch answers must agree with a one-request batch on a fresh
+	// session.
+	single := newTestSession(t).Evaluate(context.Background(), reqs[:1])[0]
+	if single.Err != nil {
+		t.Fatal(single.Err)
 	}
-	want, err := a.Total(mcm, actuary.PerSystemUnit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := results[0].TotalCost.Total(); got != want.Total() {
-		t.Errorf("batch total %v != single-shot total %v", got, want.Total())
+	if got, want := results[0].TotalCost.Total(), single.TotalCost.Total(); got != want {
+		t.Errorf("batch total %v != single-shot total %v", got, want)
 	}
 }
 
@@ -277,26 +274,6 @@ func TestSessionConcurrentEvaluate(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestActuaryWafersZeroQuantity checks the deprecated wrapper keeps
-// rejecting non-positive quantities instead of silently falling back
-// to System.Quantity like the batch API does.
-func TestActuaryWafersZeroQuantity(t *testing.T) {
-	a, err := actuary.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := mcmSystem(t, "m", 800, 2, 2_000_000)
-	if _, err := a.Wafers(sys, 0); err == nil {
-		t.Error("Wafers(sys, 0) should keep the legacy error contract")
-	}
-	if _, err := a.Wafers(sys, -5); err == nil {
-		t.Error("Wafers(sys, -5) accepted")
-	}
-	if _, err := a.Wafers(sys, 1000); err != nil {
-		t.Errorf("Wafers with a positive quantity failed: %v", err)
-	}
 }
 
 // TestSessionEmptyBatch checks the degenerate call.

@@ -514,13 +514,16 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 // Checkpoint wire forms. A checkpoint is the versioned canonical JSON
 // snapshot of a partially drained sweep: enough state to continue the
 // walk on another process — or another host — and still produce output
-// byte-identical to an uninterrupted run. Three shapes exist, one per
-// pipeline layer: SweepCheckpoint (a single sweep-best walk),
-// StreamCheckpoint (a scenario result stream reduced through the
-// online aggregators), and CoordinatorCheckpoint (per-shard progress
-// of a distributed run). All three carry CheckpointVersion and a
-// workload fingerprint; decode rejects unknown fields, and a version
-// or fingerprint mismatch fails loudly instead of resuming the wrong
+// byte-identical to an uninterrupted run. Five forms exist (the
+// Checkpoint type set): SweepCheckpoint (a single sweep-best walk),
+// SearchCheckpoint (an adaptive search walk), StreamCheckpoint (a
+// scenario result stream reduced through the online aggregators),
+// FleetStreamCheckpoint (a striped stream: merged cursor plus one
+// cursor per shard) and CoordinatorCheckpoint (per-shard progress of
+// a sharded sweep). All five carry CheckpointVersion and a workload
+// fingerprint (the fleet stream form in its merged and per-shard
+// cursors); decode rejects unknown fields, and a version or
+// fingerprint mismatch fails loudly instead of resuming the wrong
 // sweep.
 
 // CheckpointVersion is the format version stamped on every encoded
@@ -529,7 +532,7 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 // an unknown format could not keep.
 const CheckpointVersion = 1
 
-// checkpointVersionError renders the one error message all three
+// checkpointVersionError renders the one error message all five
 // checkpoint decoders share.
 func checkpointVersionError(kind string, got int) error {
 	return fmt.Errorf("actuary: %s checkpoint version %d (this build reads version %d)",
