@@ -4,8 +4,13 @@
 //
 // Usage:
 //
-//	actuaryd [-addr :8833] [-tech tech.json] [-workers N] [-inflight N] [-cache N]
+//	actuaryd [-addr :8833] [-tech tech.json] [-workers N] [-inflight N]
+//	         [-cache N] [-partials-cache N]
 //	         [-workers-min N -workers-max N [-resize-every D]]
+//
+// -cache and -partials-cache bound the memo tables (defaults 4096 and
+// 8192 entries); 0 disables memoization and a negative size is
+// rejected.
 //
 // Endpoints (see the server package):
 //
@@ -61,48 +66,25 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("actuaryd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8833", "listen address (use :0 for a kernel-assigned port)")
-	techPath := fs.String("tech", "", "optional technology database JSON (default: built-in)")
-	workers := fs.Int("workers", 0, "session worker pool width (default: one per CPU)")
+	sf := addSessionFlags(fs)
 	inFlight := fs.Int("inflight", 0, "per-stream in-flight bound (default: twice the worker count)")
-	cacheSize := fs.Int("cache", 0, "KGD cache entries (default: 4096)")
-	workersMin := fs.Int("workers-min", 0, "lower bound for the elastic worker pool (with -workers-max)")
-	workersMax := fs.Int("workers-max", 0, "upper bound for the elastic worker pool (with -workers-min)")
 	resizeEvery := fs.Duration("resize-every", 2*time.Second, "elastic pool resize interval (needs -workers-min/-workers-max)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
-	partialsSize := fs.Int("partials-cache", 0, "partial-result cache entries (default: 8192)")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	db := actuary.DefaultTech()
-	if *techPath != "" {
-		var err error
-		db, err = actuary.LoadTechFile(*techPath)
-		if err != nil {
-			return err
-		}
-	}
-	elastic := *workersMin != 0 || *workersMax != 0
-	opts := []actuary.Option{actuary.WithTech(db)}
-	if *workers > 0 {
-		opts = append(opts, actuary.WithWorkers(*workers))
-	}
-	if elastic {
-		opts = append(opts, actuary.WithWorkerBounds(*workersMin, *workersMax))
-	}
-	if *cacheSize > 0 {
-		opts = append(opts, actuary.WithCacheSize(*cacheSize))
-	}
-	if *partialsSize > 0 {
-		opts = append(opts, actuary.WithPartialsCacheSize(*partialsSize))
+	opts, err := sf.options()
+	if err != nil {
+		return err
 	}
 	session, err := actuary.NewSession(opts...)
 	if err != nil {
 		return err
 	}
-	if elastic {
+	if sf.elastic() {
 		resizer, err := fleet.NewResizer(session, fleet.ResizeEvery(*resizeEvery))
 		if err != nil {
 			return err
@@ -179,6 +161,54 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	return nil
+}
+
+// sessionFlags are the flags that shape the daemon's Session.
+type sessionFlags struct {
+	tech                            string
+	workers, workersMin, workersMax int
+	cacheSize, partialsSize         int
+}
+
+func addSessionFlags(fs *flag.FlagSet) *sessionFlags {
+	f := new(sessionFlags)
+	fs.StringVar(&f.tech, "tech", "", "optional technology database JSON (default: built-in)")
+	fs.IntVar(&f.workers, "workers", 0, "session worker pool width (default: one per CPU)")
+	fs.IntVar(&f.workersMin, "workers-min", 0, "lower bound for the elastic worker pool (with -workers-max)")
+	fs.IntVar(&f.workersMax, "workers-max", 0, "upper bound for the elastic worker pool (with -workers-min)")
+	fs.IntVar(&f.cacheSize, "cache", actuary.DefaultCacheSize, "KGD cache entries (0 disables memoization)")
+	fs.IntVar(&f.partialsSize, "partials-cache", actuary.DefaultPartialsCacheSize, "partial-result cache entries (0 disables memoization)")
+	return f
+}
+
+func (f *sessionFlags) elastic() bool { return f.workersMin != 0 || f.workersMax != 0 }
+
+// options maps the flags to Session options. Both cache sizes are
+// always passed, so 0 disables memoization; a negative size is a usage
+// error rather than a silent default.
+func (f *sessionFlags) options() ([]actuary.Option, error) {
+	if f.cacheSize < 0 {
+		return nil, fmt.Errorf("-cache %d: want an entry count ≥ 0 (0 disables memoization)", f.cacheSize)
+	}
+	if f.partialsSize < 0 {
+		return nil, fmt.Errorf("-partials-cache %d: want an entry count ≥ 0 (0 disables memoization)", f.partialsSize)
+	}
+	db := actuary.DefaultTech()
+	if f.tech != "" {
+		var err error
+		if db, err = actuary.LoadTechFile(f.tech); err != nil {
+			return nil, err
+		}
+	}
+	opts := []actuary.Option{actuary.WithTech(db),
+		actuary.WithCacheSize(f.cacheSize), actuary.WithPartialsCacheSize(f.partialsSize)}
+	if f.workers > 0 {
+		opts = append(opts, actuary.WithWorkers(f.workers))
+	}
+	if f.elastic() {
+		opts = append(opts, actuary.WithWorkerBounds(f.workersMin, f.workersMax))
+	}
+	return opts, nil
 }
 
 // listenHost renders a listener address for display, substituting

@@ -47,8 +47,7 @@ type cacheTally struct {
 // FIFO — sweeps and portfolios revisit the same handful of die shapes
 // over and over, so recency tracking buys nothing at this working-set
 // size, and a miss-heavy sweep (every candidate a new die shape) pays
-// O(1) per insert rather than the O(entries) a copy-on-write shard
-// would charge.
+// O(1) per insert into a table whose memory is fixed at construction.
 type kgdCache = memo.Cache[DieKey, dieValue]
 
 func newKGDCache(max int) *kgdCache {
@@ -57,8 +56,9 @@ func newKGDCache(max int) *kgdCache {
 
 // dieKeyHash is inline FNV-1a over the node name and area bits: the
 // shard choice only has to spread load, and a seeded hash here would
-// cost as much as a cache miss. The salvage fields are left out — the
-// in-shard map disambiguates.
+// cost as much as a cache miss. The memo table mixes it again for its
+// index, so weak low bits do not lengthen probes. The salvage fields
+// are left out — the shard compares whole keys on a tag match.
 func dieKeyHash(k DieKey) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(k.Node); i++ {

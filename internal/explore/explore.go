@@ -66,7 +66,9 @@ func NewEvaluatorWithCache(db *tech.Database, params packaging.Params, cacheSize
 // innermost-axis run shares one (scheme, area, count) key per point
 // across both engines, so the working set is roughly one entry per
 // in-flight point — 8k entries comfortably covers a slab-dispatched
-// sweep while staying a few hundred kilobytes.
+// sweep. The two tables are preallocated at this size and never grow:
+// together they hold 2.76 MiB from construction on (0.36 MiB more for
+// a 4096-entry KGD cache).
 const DefaultPartialsCacheSize = 8192
 
 // NewEvaluatorWithCaches additionally bounds the partial caches: one

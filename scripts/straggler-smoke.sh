@@ -42,12 +42,16 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# ~130k grid points: a few seconds of wall clock across two live
-# daemons, so the probe loop (100ms cadence, 250ms per-probe timeout,
-# three strikes to mark down) has an order of magnitude of headroom to
-# catch the straggler before the sweep drains.
-flags=(-mode sweep -nodes 5nm,7nm,12nm -schemes MCM,2.5D,InFO
-       -area-range 100:1000:1 -count-range 1:16 -top 8)
+# The probe loop (100ms cadence, 250ms per-probe timeout, three
+# strikes to mark down) must catch the straggler before the sweep
+# drains, and how long a grid takes depends on the machine. So the grid
+# is sized from the single-process reference run: while the reference
+# finishes in under min_ref_ms — an order of magnitude above the time
+# to mark a daemon down — the area step is halved (1, 0.5, 0.25, ...)
+# and the reference rerun, for at most max_rounds runs. Both passes use
+# the grid the last reference ran.
+min_ref_ms=4000
+max_rounds=6
 fleetflags=(-fleet-probe-every 100ms -fleet-probe-timeout 250ms)
 
 start_daemon() { # start_daemon NAME -> sets url_NAME, pid_NAME
@@ -83,8 +87,20 @@ wait_in_flight() { # wait_in_flight URL — until the daemon is evaluating
   done
 }
 
-echo "straggler-smoke: single-process reference run"
-"$explore" "${flags[@]}" > "$dir/reference.txt"
+step=1
+for round in $(seq "$max_rounds"); do
+  flags=(-mode sweep -nodes 5nm,7nm,12nm -schemes MCM,2.5D,InFO
+         -area-range "100:1000:$step" -count-range 1:16 -top 8)
+  start=$(date +%s%N)
+  "$explore" "${flags[@]}" > "$dir/reference.txt"
+  ref_ms=$(( ($(date +%s%N) - start) / 1000000 ))
+  echo "straggler-smoke: single-process reference on -area-range 100:1000:$step took ${ref_ms}ms"
+  if [ "$ref_ms" -ge "$min_ref_ms" ] || [ "$round" -eq "$max_rounds" ]; then
+    break
+  fi
+  step=$(awk -v s="$step" 'BEGIN { print s / 2 }')
+done
+echo "straggler-smoke: both passes sweep ${flags[*]}"
 
 echo "straggler-smoke: pass 1 — SIGSTOP a daemon mid-sweep"
 start_daemon a1; start_daemon b1; start_daemon c1
