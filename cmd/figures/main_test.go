@@ -2,9 +2,62 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/all.golden from the current model")
+
+// TestRunAllGolden pins the output of -fig all (every figure, claim,
+// ablation, extension and robustness row) byte for byte, so a change
+// that moves any printed number fails here. Regenerate with
+//
+//	go test ./cmd/figures -run TestRunAllGolden -update
+//
+// and say in the change which numbers moved and why. The file is
+// amd64 output: on arm64, ppc64le, s390x and riscv64 the compiler may
+// fuse a multiply and an add, which can flip a printed digit.
+func TestRunAllGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("testdata/all.golden is amd64 output; %s may fuse multiply-adds and print other digits", runtime.GOARCH)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-fig", "all"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "all.golden")
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := out.Bytes()
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("-fig all differs from %s at line %d:\n got %q\nwant %q", path, i+1, g, w)
+		}
+	}
+}
 
 func TestRunSingleFigures(t *testing.T) {
 	cases := map[string]string{

@@ -99,7 +99,7 @@ func LoadPortfolioConfig(path string) (PortfolioConfig, error) {
 }
 
 // Build converts the portfolio configuration into systems ready for
-// Actuary.Portfolio. The packaging parameters are needed to size a
+// Session.Portfolio. The packaging parameters are needed to size a
 // shared package envelope.
 func (c PortfolioConfig) Build(params PackagingParams) ([]System, error) {
 	if len(c.Systems) == 0 {

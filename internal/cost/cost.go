@@ -338,39 +338,47 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 	return b, nil
 }
 
-// reSlow is the general per-placement walk.
+// reSlow is the general per-placement walk. It prices every die in
+// die order, then checks the assembly as packaging.Package would and
+// prices the package from the (shared, possibly nil) partial cache, so
+// a system whose NRE geometry probe already priced its package finds
+// it there.
 func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 	if err := s.Validate(e.db); err != nil {
 		return Breakdown{}, err
 	}
-	dies := s.Dies()
-	var b Breakdown
-	areas := make([]float64, len(dies))
-	kgds := make([]float64, len(dies))
-	b.Dies = make([]DieCost, len(dies))
+	b := Breakdown{Dies: make([]DieCost, 0, s.DieCount())}
 	var tally cacheTally
-	for i, c := range dies {
-		dc, err := e.dieCost(c, c.DieArea(), &tally)
-		if err != nil {
-			return Breakdown{}, err
+	var totalArea, totalKGD float64
+	for _, p := range s.Placements {
+		area := p.Chiplet.DieArea()
+		for n := 0; n < p.Count; n++ {
+			dc, err := e.dieCost(p.Chiplet, area, &tally)
+			if err != nil {
+				return Breakdown{}, err
+			}
+			b.Dies = append(b.Dies, dc)
+			b.RawChips += dc.Raw
+			b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
+			totalArea += dc.AreaMM2
+			totalKGD += dc.KGD
 		}
-		b.Dies[i] = dc
-		b.RawChips += dc.Raw
-		b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
-		areas[i] = dc.AreaMM2
-		kgds[i] = dc.KGD
 	}
 	e.cache.Note(tally.hits, tally.misses)
 
-	asm := packaging.Assembly{DieAreasMM2: areas, KGDCosts: kgds}
-	if s.Envelope != nil {
-		asm.FootprintOverrideMM2 = s.Envelope.FootprintMM2
-		asm.InterposerOverrideMM2 = s.Envelope.InterposerAreaMM2
+	for i, dc := range b.Dies {
+		if err := packaging.CheckDie(i, dc.AreaMM2, dc.KGD); err != nil {
+			return Breakdown{}, err
+		}
 	}
-	pkg, err := packaging.Package(e.params, e.db, s.Scheme, s.Flow, asm)
+	if err := packaging.CheckDieCount(s.Scheme, len(b.Dies)); err != nil {
+		return Breakdown{}, err
+	}
+	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, s.PackageKey(len(b.Dies), totalArea))
 	if err != nil {
 		return Breakdown{}, err
 	}
+	pkg := pt.Apply(totalKGD)
 	b.Packaging = pkg
 	b.RawPackage = pkg.RawPackage
 	b.PackageDefects = pkg.PackageDefects

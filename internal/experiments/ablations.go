@@ -15,9 +15,10 @@ import (
 	"chipletactuary/internal/tech"
 )
 
-// Ablation studies for the design choices DESIGN.md calls out: the
-// chip-last default (Eq. 5), the amortization policy, the 10% D2D
-// assumption and the micro-bump bond-yield parameter.
+// Ablation studies for the model's design choices: the chip-last
+// default (Eq. 5), the amortization policy ("NRE amortization
+// policies" in the README), the 10% D2D assumption and the
+// micro-bump bond-yield parameter.
 
 // FlowAblationRow compares the two assembly flows of Eq. (5) for one
 // configuration.

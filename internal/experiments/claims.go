@@ -16,7 +16,8 @@ import (
 // Claim records one of the paper's in-text quantitative statements and
 // what our model measures for it. The Holds flag applies a tolerant
 // band around the paper's number: the substrate parameters are
-// substituted public estimates (DESIGN.md §5), so we verify shape —
+// substituted public estimates (see the source notes in
+// internal/tech/defaults.go), so we verify shape —
 // who wins and by roughly what factor — rather than digits.
 type Claim struct {
 	ID        string

@@ -127,10 +127,10 @@ func (t TotalCost) NREShare() float64 {
 // Single evaluates a standalone system (a one-member portfolio).
 // Uniform systems — the shape every sweep candidate has — are proved
 // uniform once and take a closed-form fast path through both engines
-// that skips the portfolio machinery (maps, sorts, per-design
-// bookkeeping) with bit-identical results, including error messages
-// and their order: like Portfolio, NRE validation errors surface
-// before RE ones.
+// that skips the general walk (design table, sort, per-die package
+// checks) with bit-identical results, including error messages and
+// their order: like Portfolio, NRE validation errors surface before
+// RE ones. Any other shape is priced as a one-member Portfolio.
 func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error) {
 	if u, ok := system.AsUniform(s); ok {
 		nb, err := e.NRE.EvaluateUniform(s, u, policy)
@@ -143,27 +143,33 @@ func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error
 		}
 		return TotalCost{RE: re, NRE: nb}, nil
 	}
-	m, err := e.Portfolio([]system.System{s}, policy)
+	nres, err := e.NRE.PerUnit([]system.System{s}, policy)
 	if err != nil {
 		return TotalCost{}, err
 	}
-	return m[s.Name], nil
+	re, err := e.Cost.RE(s)
+	if err != nil {
+		return TotalCost{}, err
+	}
+	return TotalCost{RE: re, NRE: nres[0]}, nil
 }
 
 // Portfolio evaluates a family of systems that share designs, keyed by
-// system name.
+// system name. Each system's NRE geometry probe and its RE evaluation
+// price its package once, through the evaluator's shared partial
+// cache.
 func (e *Evaluator) Portfolio(systems []system.System, policy nre.Policy) (map[string]TotalCost, error) {
-	nres, err := e.NRE.Portfolio(systems, policy)
+	nres, err := e.NRE.PerUnit(systems, policy)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]TotalCost, len(systems))
-	for _, s := range systems {
+	for i, s := range systems {
 		re, err := e.Cost.RE(s)
 		if err != nil {
 			return nil, err
 		}
-		out[s.Name] = TotalCost{RE: re, NRE: nres.PerUnit[s.Name]}
+		out[s.Name] = TotalCost{RE: re, NRE: nres[i]}
 	}
 	return out, nil
 }

@@ -54,12 +54,33 @@ func (a Assembly) validate() error {
 			len(a.DieAreasMM2), len(a.KGDCosts))
 	}
 	for i, s := range a.DieAreasMM2 {
-		if s <= 0 {
-			return fmt.Errorf("packaging: die %d has non-positive area %v", i, s)
+		if err := CheckDie(i, s, a.KGDCosts[i]); err != nil {
+			return err
 		}
-		if a.KGDCosts[i] < 0 {
-			return fmt.Errorf("packaging: die %d has negative KGD cost %v", i, a.KGDCosts[i])
-		}
+	}
+	return nil
+}
+
+// CheckDie returns the error Package reports for die i of an assembly
+// when its area is not positive or its KGD cost is negative, and nil
+// otherwise. Callers that price packages from a cached partial run it
+// per die, in die order, so their assembly errors match Package's.
+func CheckDie(i int, areaMM2, kgdCost float64) error {
+	if areaMM2 <= 0 {
+		return fmt.Errorf("packaging: die %d has non-positive area %v", i, areaMM2)
+	}
+	if kgdCost < 0 {
+		return fmt.Errorf("packaging: die %d has negative KGD cost %v", i, kgdCost)
+	}
+	return nil
+}
+
+// CheckDieCount returns the error Package reports when scheme s
+// cannot mount n dies (an SoC package holds exactly one), and nil
+// otherwise.
+func CheckDieCount(s Scheme, n int) error {
+	if s == SoC && n != 1 {
+		return fmt.Errorf("packaging: SoC packages exactly one die, got %d", n)
 	}
 	return nil
 }
@@ -229,8 +250,8 @@ func Package(p Params, db *tech.Database, s Scheme, f Flow, a Assembly) (Result,
 	if err := a.validate(); err != nil {
 		return Result{}, err
 	}
-	if s == SoC && len(a.DieAreasMM2) != 1 {
-		return Result{}, fmt.Errorf("packaging: SoC packages exactly one die, got %d", len(a.DieAreasMM2))
+	if err := CheckDieCount(s, len(a.DieAreasMM2)); err != nil {
+		return Result{}, err
 	}
 	pt, err := PartialFor(p, db, PartialKey{
 		Scheme:                s,

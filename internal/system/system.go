@@ -268,16 +268,54 @@ func (s System) Validate(db *tech.Database) error {
 		}
 	}
 	// Chiplet names must be used consistently: one name, one design.
-	byName := make(map[string]Chiplet)
-	for _, c := range s.Dies() {
-		if prev, ok := byName[c.Name]; ok {
-			if prev.Node != c.Node || prev.DieArea() != c.DieArea() {
-				return fmt.Errorf("system: %q uses chiplet name %q for two different designs",
-					s.Name, c.Name)
+	// Each placement is checked against the first placement with its
+	// name, and a placement of several copies against itself, so a
+	// die whose area is NaN fails as it would against any other copy.
+	var first map[string]int // placements beyond nameScanMax only
+	if len(s.Placements) > nameScanMax {
+		first = make(map[string]int, len(s.Placements))
+	}
+	for i := range s.Placements {
+		c := &s.Placements[i].Chiplet
+		j := i
+		if first != nil {
+			if f, ok := first[c.Name]; ok {
+				j = f
+			} else {
+				first[c.Name] = i
 			}
+		} else {
+			for f := 0; f < i; f++ {
+				if s.Placements[f].Chiplet.Name == c.Name {
+					j = f
+					break
+				}
+			}
+		}
+		if j == i && s.Placements[i].Count == 1 {
 			continue
 		}
-		byName[c.Name] = c
+		if prev := &s.Placements[j].Chiplet; prev.Node != c.Node || prev.DieArea() != c.DieArea() {
+			return fmt.Errorf("system: %q uses chiplet name %q for two different designs",
+				s.Name, c.Name)
+		}
 	}
 	return nil
+}
+
+// nameScanMax bounds Validate's pairwise search for the first
+// placement with a chiplet's name, which keeps validation
+// allocation-free; a wider system indexes the names in a map instead.
+const nameScanMax = 64
+
+// PackageKey returns the packaging partial key of s's package for n
+// dies whose areas sum, in die order, to totalDieAreaMM2: the scheme,
+// the flow and any reused envelope's footprint and interposer.
+func (s System) PackageKey(n int, totalDieAreaMM2 float64) packaging.PartialKey {
+	k := packaging.PartialKey{Scheme: s.Scheme, Flow: s.Flow, Dies: n, TotalDieAreaMM2: totalDieAreaMM2}
+	if s.Envelope != nil {
+		k.FootprintOverrideMM2 = s.Envelope.FootprintMM2
+		k.InterposerOverrideMM2 = s.Envelope.InterposerAreaMM2
+	}
+	return k
 }

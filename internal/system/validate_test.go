@@ -1,0 +1,137 @@
+package system_test
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"chipletactuary/internal/dtod"
+	"chipletactuary/internal/packaging"
+	"chipletactuary/internal/race"
+	"chipletactuary/internal/system"
+	"chipletactuary/internal/system/systemtest"
+	"chipletactuary/internal/tech"
+)
+
+// refValidate is System.Validate as it was before it became
+// allocation-free: the consistency check walks a Dies() copy against a
+// map of the first chiplet seen under each name. It is the reference
+// model TestValidateMatchesReference checks the current code against.
+func refValidate(s system.System, db *tech.Database) error {
+	if s.Name == "" {
+		return fmt.Errorf("system: system with empty name")
+	}
+	if len(s.Placements) == 0 {
+		return fmt.Errorf("system: %q has no placements", s.Name)
+	}
+	for _, p := range s.Placements {
+		if p.Count <= 0 {
+			return fmt.Errorf("system: %q places %q with non-positive count %d",
+				s.Name, p.Chiplet.Name, p.Count)
+		}
+		if err := p.Chiplet.Validate(db); err != nil {
+			return fmt.Errorf("system: %q: %w", s.Name, err)
+		}
+	}
+	if s.Scheme == packaging.SoC && s.DieCount() != 1 {
+		return fmt.Errorf("system: %q is an SoC but mounts %d dies", s.Name, s.DieCount())
+	}
+	if s.Quantity < 0 {
+		return fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
+	}
+	if s.Envelope != nil {
+		if s.Envelope.Name == "" {
+			return fmt.Errorf("system: %q reuses an unnamed package envelope", s.Name)
+		}
+		if s.Envelope.FootprintMM2 <= 0 {
+			return fmt.Errorf("system: %q envelope has non-positive footprint", s.Name)
+		}
+	}
+	byName := make(map[string]system.Chiplet)
+	for _, c := range s.Dies() {
+		if prev, ok := byName[c.Name]; ok {
+			if prev.Node != c.Node || prev.DieArea() != c.DieArea() {
+				return fmt.Errorf("system: %q uses chiplet name %q for two different designs",
+					s.Name, c.Name)
+			}
+			continue
+		}
+		byName[c.Name] = c
+	}
+	return nil
+}
+
+// TestValidateMatchesReference compares Validate with the map-based
+// reference on random systems, errors by message.
+func TestValidateMatchesReference(t *testing.T) {
+	db := systemtest.DB()
+	gen := systemtest.New(1)
+	n := 100_000
+	if testing.Short() {
+		n = 10_000
+	}
+	total, valid, wide, twoDesigns := 0, 0, 0, 0
+	for i := 0; i < n; i++ {
+		for _, s := range gen.Portfolio() {
+			total++
+			got, want := s.Validate(db), refValidate(s, db)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("draw %d, %+v:\n got %v\nwant %v", i, s, got, want)
+			}
+			switch {
+			case want == nil:
+				valid++
+			case strings.HasSuffix(want.Error(), "for two different designs"):
+				twoDesigns++
+			}
+			if len(s.Placements) > 64 {
+				wide++
+			}
+		}
+	}
+	if valid == 0 || wide == 0 || twoDesigns == 0 {
+		t.Fatalf("draws too narrow: %d valid, %d wide, %d name-consistency errors", valid, wide, twoDesigns)
+	}
+	t.Logf("%d systems: %d valid, %d wide, %d name-consistency errors", total, valid, wide, twoDesigns)
+}
+
+// TestValidateRepeatsNaNDie checks that a placement of several copies
+// of a NaN-area chiplet fails the name-consistency check against
+// itself, as the copies fail against each other.
+func TestValidateRepeatsNaNDie(t *testing.T) {
+	c := system.Chiplet{Name: "n", Node: "7nm", Modules: []system.Module{{Name: "m", AreaMM2: math.NaN()}}}
+	s := system.System{Name: "s", Scheme: packaging.MCM, Quantity: 1, Placements: []system.Placement{{Chiplet: c, Count: 1}}}
+	if err := s.Validate(tech.Default()); err != nil {
+		t.Fatalf("one NaN die: %v", err)
+	}
+	s.Placements[0].Count = 2
+	want := `system: "s" uses chiplet name "n" for two different designs`
+	if err := s.Validate(tech.Default()); err == nil || err.Error() != want {
+		t.Fatalf("two NaN dies: %v, want %s", err, want)
+	}
+}
+
+var sinkErr error
+
+// TestValidateAllocations pins Validate at zero allocations on valid
+// systems, including one that places a chiplet name twice and one of
+// 64 placements, the widest the pairwise name scan takes.
+func TestValidateAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector adds allocations")
+	}
+	db := tech.Default()
+	x := system.Chiplet{Name: "X", Node: "7nm", Modules: []system.Module{{Name: "m", AreaMM2: 100}}, D2D: dtod.Fraction{F: 0.1}}
+	twice := system.System{Name: "twice", Scheme: packaging.MCM, Quantity: 1,
+		Placements: []system.Placement{{Chiplet: x, Count: 2}, {Chiplet: x, Count: 1}}}
+	wide, err := system.PartitionEqual("wide", "7nm", 6400, 64, packaging.MCM, dtod.Fraction{F: 0.1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []system.System{system.Monolithic("soc", "5nm", 400, 1), twice, wide} {
+		if n := testing.AllocsPerRun(100, func() { sinkErr = s.Validate(db) }); n != 0 || sinkErr != nil {
+			t.Errorf("%s: %v allocations, error %v; want 0, nil", s.Name, n, sinkErr)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package tech
 
 // Default parameter table.
 //
-// Sources and reasoning (see DESIGN.md §5 for the substitution record):
+// Sources and reasoning:
 //
 //   - Defect densities and cluster parameters are the paper's own
 //     (Figure 2 legend): 3nm 0.20, 5nm 0.11, 7nm 0.09, 14nm 0.08 with

@@ -6,9 +6,10 @@
 //
 // The paper draws these numbers from a commercial database, public
 // reports and in-house data (§4). Our defaults substitute documented
-// public estimates with the same structure — see DESIGN.md §5 — and
-// every experiment runs off ratios between them, which is what the
-// public sources pin down. Users can supply their own table as JSON.
+// public estimates with the same structure — the source notes in
+// defaults.go record each substitution — and every experiment runs
+// off ratios between them, which is what the public sources pin down.
+// Users can supply their own table as JSON.
 package tech
 
 import (
