@@ -313,9 +313,14 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 	b := Breakdown{Dies: make([]DieCost, k)}
 	var totalArea, totalKGD float64
 	for i := 0; i < k; i++ {
-		d := dc
+		// Field by field into the zeroed entry: no per-die copy of dc.
+		d := &b.Dies[i]
 		d.Name = s.Placements[i].Chiplet.Name
-		b.Dies[i] = d
+		d.Node = dc.Node
+		d.AreaMM2 = dc.AreaMM2
+		d.Raw = dc.Raw
+		d.Yield = dc.Yield
+		d.KGD = dc.KGD
 		b.RawChips += dc.Raw
 		b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
 		totalArea += dc.AreaMM2

@@ -101,8 +101,10 @@ func TestGeneratorPointIDs(t *testing.T) {
 var sinkPoint Point
 
 // TestGeneratorNextAllocations pins a full walk of a grid with
-// multi-valued node, scheme and quantity axes at four allocations per
-// point: the ID and PartitionEqual's three.
+// multi-valued node, scheme and quantity axes at one allocation per
+// point: the string that holds the ID and every chiplet and module
+// name. The placement and module chunks are shared by dozens of points,
+// so they stay below one allocation per point.
 func TestGeneratorNextAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector adds allocations")
@@ -124,7 +126,7 @@ func TestGeneratorNextAllocations(t *testing.T) {
 		}
 		sinkPoint = p
 	})
-	if n > 4 {
-		t.Errorf("Generator.Next: %v allocations per point, want ≤ 4", n)
+	if n > 1 {
+		t.Errorf("Generator.Next: %v allocations per point, want ≤ 1", n)
 	}
 }

@@ -23,7 +23,10 @@ import (
 type Point struct {
 	// ID is the deterministic point label: the grid name plus one
 	// segment per multi-valued axis, always including area and count
-	// ("name-a800-k4", "name-5nm-a800-k4", ...).
+	// ("name-a800-k4", "name-5nm-a800-k4", ...). On a full point it is
+	// System.Name, the head of the one string every chiplet and module
+	// name of the system is sliced from, so retaining the ID keeps
+	// those names alive (but not the System's placements or modules).
 	ID string
 	// Node, Scheme, AreaMM2, K and Quantity echo the axis values.
 	// Scheme is the point's effective scheme: k = 1 points are
@@ -40,7 +43,12 @@ type Point struct {
 	// generator skip building System entirely.
 	DieAreaMM2 float64
 	// System is the equal-partition system built from the axes. A lean
-	// generator (see Generator.Lean) leaves it zero.
+	// generator (see Generator.Lean) leaves it zero. Its placements
+	// and modules are carved from chunks the generator shares among
+	// consecutive points (see system.Chunks), with cap == len, so
+	// appending to or writing through them never reaches another
+	// point; retaining the System keeps its chunks, at most about
+	// 36 KiB, alive.
 	System system.System
 }
 
@@ -90,6 +98,9 @@ func (g Grid) Validate() error {
 		if a <= 0 {
 			return fmt.Errorf("sweep: grid %q has non-positive area %v", g.Name, a)
 		}
+		if !finite(a) {
+			return fmt.Errorf("sweep: grid %q has non-finite area %v", g.Name, a)
+		}
 	}
 	maxK := 0
 	for _, k := range g.Counts {
@@ -108,6 +119,9 @@ func (g Grid) Validate() error {
 	for _, q := range g.Quantities {
 		if q <= 0 {
 			return fmt.Errorf("sweep: grid %q has non-positive quantity %v", g.Name, q)
+		}
+		if !finite(q) {
+			return fmt.Errorf("sweep: grid %q has non-finite quantity %v", g.Name, q)
 		}
 	}
 	// A fixed axis order, so a grid with several duplicated axes always
@@ -128,6 +142,9 @@ func (g Grid) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // hasDup reports whether an axis repeats a value.
 func hasDup[T comparable](xs []T) bool {
@@ -425,6 +442,9 @@ type Generator struct {
 	// once, and allocates for it only when labelBuf grows.
 	labels   [][]byte
 	labelBuf []byte
+	// chunks carves full points' placements and modules (see
+	// system.Chunks); its first chunks hold one innermost run.
+	chunks system.Chunks
 }
 
 // Points returns a fresh lazy iterator over the grid, applying the
@@ -437,18 +457,32 @@ func (g Grid) Points(filters ...Filter) *Generator {
 	}
 	odo := NewOdometer(len(g.Nodes), len(g.Schemes), len(g.Quantities), len(g.AreasMM2), len(g.Counts))
 	return &Generator{grid: g, filters: filters, d2d: d2d, odo: odo,
-		labels: make([][]byte, len(g.Quantities)+len(g.AreasMM2))}
+		labels: make([][]byte, len(g.Quantities)+len(g.AreasMM2)),
+		chunks: system.NewChunks(runPlacements(g.Counts))}
+}
+
+// runPlacements returns how many placements one innermost run of the
+// walk builds, Σ Counts, saturating rather than overflowing.
+func runPlacements(counts []int) int {
+	n := 0
+	for _, k := range counts {
+		if k > 0 {
+			n = min(n, math.MaxInt-k) + k
+		}
+	}
+	return n
 }
 
 // Grid returns the grid this generator walks.
 func (it *Generator) Grid() Grid { return it.grid }
 
 // Lean switches the generator to scalar-only generation: Next leaves
-// Point.System zero instead of building the equal-partition system,
-// so a point costs one allocation, its ID string, instead of four (a
-// full point adds PartitionEqual's placements, modules and the one
-// string all its chiplet and module names are sliced from). The walk
-// is otherwise identical — the same candidates survive, in the
+// Point.System zero instead of building the equal-partition system.
+// Either way a point costs one allocation, its ID string; a full
+// point's ID string also holds every chiplet and module name of its
+// system, whose placements and modules are carved from chunks shared
+// with dozens of neighbouring points. The walk is otherwise
+// identical — the same candidates survive, in the
 // same order, with the same Stats, because the unbuildable-combination
 // checks PartitionEqual would have made are replicated on the scalar
 // axes. The caller asserts that every installed filter and bound reads
@@ -578,15 +612,18 @@ func (it *Generator) Next() (Point, bool) {
 			}
 			p.ID = it.pointID(node, sch, qi, ai, k)
 		} else {
-			id := it.pointID(node, sch, qi, ai, k)
-			sys, err := system.PartitionEqual(id, node, area, k, sch, it.d2d, quantity)
+			// The ID is assembled on the stack and copied once, into the
+			// head of the string every name of the system is sliced from.
+			var buf [idBufSize]byte
+			sys, err := it.chunks.PartitionEqual(it.appendPointID(buf[:0], node, sch, qi, ai, k),
+				node, area, k, sch, it.d2d, quantity)
 			if err != nil {
 				// Unbuildable combination (e.g. an SoC scheme asked to
 				// host k > 1): prune rather than poison the stream.
 				it.stats.Pruned++
 				continue
 			}
-			p.ID, p.System = id, sys
+			p.ID, p.System = sys.Name, sys
 		}
 		// Per-die area from the scalars, with the same expressions the
 		// partition builder uses (k = 1 points are monolithic: full
@@ -612,13 +649,19 @@ func (it *Generator) Next() (Point, bool) {
 }
 
 // pointID is Grid.PointID for the point at quantity index qi and area
-// index ai, assembled in a stack buffer from memoized axis labels: one
-// allocation, the ID string itself.
+// index ai, assembled in a stack buffer: one allocation, the ID string
+// itself.
 func (it *Generator) pointID(node string, scheme packaging.Scheme, qi, ai, k int) string {
-	g := &it.grid
 	var buf [idBufSize]byte
-	return string(g.appendID(buf[:0], pointLabel, node, scheme.String(),
-		it.label(qi, g.Quantities[qi]), it.label(len(g.Quantities)+ai, g.AreasMM2[ai]), k))
+	return string(it.appendPointID(buf[:0], node, scheme, qi, ai, k))
+}
+
+// appendPointID appends the bytes of pointID's label, built from
+// memoized axis labels, to dst.
+func (it *Generator) appendPointID(dst []byte, node string, scheme packaging.Scheme, qi, ai, k int) []byte {
+	g := &it.grid
+	return g.appendID(dst, pointLabel, node, scheme.String(),
+		it.label(qi, g.Quantities[qi]), it.label(len(g.Quantities)+ai, g.AreasMM2[ai]), k)
 }
 
 // label returns the memoized label of axis value v at labels index i.
@@ -721,10 +764,19 @@ func (it *Generator) aboveBound(p Point) bool {
 	return true
 }
 
+// MaxAxisLen is the most values AreaRange and CountRange expand a
+// range into; a longer range is an error, not a huge allocation.
+const MaxAxisLen = 1 << 20
+
 // AreaRange expands an inclusive [lo, hi] module-area range with the
-// given step into an explicit axis. The step must be positive and the
-// range not inverted.
+// given step into an explicit axis. The bounds and the step must be
+// finite, the step positive, the range not inverted, and the axis at
+// most MaxAxisLen values whose spacing survives rounding: every value
+// is finite and larger than the one before.
 func AreaRange(loMM2, hiMM2, stepMM2 float64) ([]float64, error) {
+	if !finite(loMM2) || !finite(hiMM2) || !finite(stepMM2) {
+		return nil, fmt.Errorf("sweep: area range [%v, %v] step %v is not finite", loMM2, hiMM2, stepMM2)
+	}
 	if loMM2 <= 0 || hiMM2 < loMM2 {
 		return nil, fmt.Errorf("sweep: inverted or non-positive area range [%v, %v]", loMM2, hiMM2)
 	}
@@ -732,24 +784,46 @@ func AreaRange(loMM2, hiMM2, stepMM2 float64) ([]float64, error) {
 		return nil, fmt.Errorf("sweep: area range step %v must be positive", stepMM2)
 	}
 	// Index-based expansion: accumulating `a += step` drifts over long
-	// ranges and can gain or lose the final point.
-	n := int(math.Floor((hiMM2-loMM2)/stepMM2+1e-9)) + 1
-	out := make([]float64, n)
+	// ranges and can gain or lose the final point. The index count is
+	// bounded as a float, before the conversion to int could overflow
+	// (a quotient of finite values can still be +Inf).
+	last := math.Floor((hiMM2-loMM2)/stepMM2 + 1e-9)
+	if !(last < MaxAxisLen) {
+		return nil, fmt.Errorf("sweep: area range [%v, %v] step %v has more than %d values",
+			loMM2, hiMM2, stepMM2, MaxAxisLen)
+	}
+	out := make([]float64, int(last)+1)
 	for i := range out {
 		out[i] = loMM2 + float64(i)*stepMM2
+		if i == 0 {
+			continue
+		}
+		if out[i] > math.MaxFloat64 {
+			return nil, fmt.Errorf("sweep: area range [%v, %v] step %v overflows at value %d",
+				loMM2, hiMM2, stepMM2, i)
+		}
+		if !(out[i] > out[i-1]) {
+			return nil, fmt.Errorf("sweep: area range [%v, %v] step %v is finer than the spacing of float64 values: value %d repeats value %d",
+				loMM2, hiMM2, stepMM2, i, i-1)
+		}
 	}
 	return out, nil
 }
 
 // CountRange expands an inclusive [lo, hi] partition-count range into
-// an explicit axis.
+// an explicit axis of at most MaxAxisLen values.
 func CountRange(lo, hi int) ([]int, error) {
 	if lo < 1 || hi < lo {
 		return nil, fmt.Errorf("sweep: inverted or sub-1 count range [%d, %d]", lo, hi)
 	}
-	out := make([]int, 0, hi-lo+1)
-	for k := lo; k <= hi; k++ {
-		out = append(out, k)
+	// 1 ≤ lo ≤ hi, so hi-lo cannot overflow.
+	if hi-lo >= MaxAxisLen {
+		return nil, fmt.Errorf("sweep: count range [%d, %d] has more than %d values", lo, hi, MaxAxisLen)
+	}
+	// Indexed, so hi = math.MaxInt cannot wrap the loop counter.
+	out := make([]int, hi-lo+1)
+	for i := range out {
+		out[i] = lo + i
 	}
 	return out, nil
 }

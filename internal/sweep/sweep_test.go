@@ -3,7 +3,9 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"chipletactuary/internal/dtod"
@@ -190,6 +192,26 @@ func TestGridValidate(t *testing.T) {
 				t.Errorf("invalid grid accepted")
 			}
 		})
+	}
+	// A NaN quantity used to validate and price every point at NaN,
+	// which no ranking orders. -Inf keeps its non-positive message.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Grid)
+		want   string
+	}{
+		{"NaN area", func(g *Grid) { g.AreasMM2 = []float64{400, nan} }, "non-finite area NaN"},
+		{"+Inf area", func(g *Grid) { g.AreasMM2 = []float64{inf} }, "non-finite area +Inf"},
+		{"-Inf area", func(g *Grid) { g.AreasMM2 = []float64{-inf} }, "non-positive area -Inf"},
+		{"NaN quantity", func(g *Grid) { g.Quantities = []float64{nan} }, "non-finite quantity NaN"},
+		{"+Inf quantity", func(g *Grid) { g.Quantities = []float64{1e6, inf} }, "non-finite quantity +Inf"},
+	} {
+		g := testGrid()
+		tc.mutate(&g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 	g := testGrid()
 	if err := g.Validate(); err != nil {

@@ -65,23 +65,23 @@ func TestPartitionEqualConservesModuleArea(t *testing.T) {
 	}
 }
 
-// TestPartitionNames pins the names the builders slice out of one
-// string to the per-name forms they replace, for widths past every
-// digit-count boundary up to 130.
+// TestPartitionNames pins the system name and the names the builders
+// slice out of one string to the per-name forms they replace, for
+// widths past every digit-count boundary up to 130.
 func TestPartitionNames(t *testing.T) {
 	for _, name := range []string{"sys", "", strings.Repeat("long-", 30)} {
 		m := Monolithic(name, "5nm", 800, 1)
 		c := m.Placements[0].Chiplet
-		if c.Name != name+"-die" || c.Modules[0].Name != name+"-logic" {
-			t.Fatalf("Monolithic(%q) names %q / %q", name, c.Name, c.Modules[0].Name)
+		if m.Name != name || c.Name != name+"-die" || c.Modules[0].Name != name+"-logic" {
+			t.Fatalf("Monolithic(%q) names %q / %q / %q", name, m.Name, c.Name, c.Modules[0].Name)
 		}
 		for k := 1; k <= 130; k++ {
 			s, err := PartitionEqual(name, "7nm", 600, k, packaging.MCM, dtod.Fraction{F: 0.1}, 1e6)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(s.Placements) != k {
-				t.Fatalf("k=%d: %d placements", k, len(s.Placements))
+			if len(s.Placements) != k || s.Name != name {
+				t.Fatalf("k=%d: %d placements, system %q", k, len(s.Placements), s.Name)
 			}
 			for i, p := range s.Placements {
 				if want := fmt.Sprintf("%s-chiplet-%d", name, i+1); p.Chiplet.Name != want {

@@ -187,7 +187,11 @@ func (s *sweepSource) NextSlab(dst []Request) int {
 	n := s.gen.NextSlab(pts)
 	for i := 0; i < n; i++ {
 		dst[i] = s.request(pts[i])
-		pts[i] = DesignPoint{} // release the System backing arrays
+		// Drop the scratch's hold on the point's System: its
+		// placements and modules share chunks with its neighbours',
+		// which should stay alive only while the generator or a
+		// request still uses them.
+		pts[i] = DesignPoint{}
 	}
 	return n
 }
