@@ -8,9 +8,10 @@
 //	         [-cache N] [-partials-cache N]
 //	         [-workers-min N -workers-max N [-resize-every D]]
 //
-// -cache and -partials-cache bound the memo tables (defaults 4096 and
-// 8192 entries); 0 disables memoization and a negative size is
-// rejected.
+// -cache bounds the KGD table (default 4096 entries) and
+// -partials-cache the packaging-partial and uniform-shape tables
+// (default 8192 entries each); 0 disables memoization and a negative
+// size is rejected.
 //
 // Endpoints (see the server package):
 //
@@ -177,7 +178,7 @@ func addSessionFlags(fs *flag.FlagSet) *sessionFlags {
 	fs.IntVar(&f.workersMin, "workers-min", 0, "lower bound for the elastic worker pool (with -workers-max)")
 	fs.IntVar(&f.workersMax, "workers-max", 0, "upper bound for the elastic worker pool (with -workers-min)")
 	fs.IntVar(&f.cacheSize, "cache", actuary.DefaultCacheSize, "KGD cache entries (0 disables memoization)")
-	fs.IntVar(&f.partialsSize, "partials-cache", actuary.DefaultPartialsCacheSize, "partial-result cache entries (0 disables memoization)")
+	fs.IntVar(&f.partialsSize, "partials-cache", actuary.DefaultPartialsCacheSize, "entries in each of the packaging-partial and uniform-shape tables (0 disables memoization)")
 	return f
 }
 

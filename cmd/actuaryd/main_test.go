@@ -27,8 +27,9 @@ func sessionFromArgs(t *testing.T, args ...string) (*actuary.Session, error) {
 	return actuary.NewSession(opts...)
 }
 
-// evaluateOne prices a uniform 2-chiplet MCM, which goes through the
-// KGD, packaging-partial and NRE uniform-term caches.
+// evaluateOne prices a uniform 2-chiplet MCM once: the uniform-shape
+// table misses, so the point also goes through the KGD and
+// packaging-partial tables.
 func evaluateOne(t *testing.T, s *actuary.Session) {
 	t.Helper()
 	mcm, err := actuary.PartitionEqual("mcm", "5nm", 800, 2, actuary.MCM, actuary.D2DFraction(0.10), 2_000_000)
@@ -44,6 +45,10 @@ func evaluateOne(t *testing.T, s *actuary.Session) {
 	}
 }
 
+// TestCacheFlags checks that the default flags fill the KGD,
+// packaging-partial and uniform-shape tables, that -cache 0
+// -partials-cache 0 leaves all three empty, and that a negative size is
+// rejected.
 func TestCacheFlags(t *testing.T) {
 	t.Run("defaults memoize", func(t *testing.T) {
 		s, err := sessionFromArgs(t)

@@ -73,6 +73,25 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestPartitionCountBound checks that partition counts past
+// system.MaxPartitionCount are errors, not a panic in the system
+// builder: a sweep count range at the top of the int range and a
+// payback with that many chiplets.
+func TestPartitionCountBound(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mode", "sweep", "-nodes", "7nm", "-schemes", "MCM", "-area-range", "100:100:1",
+			"-count-range", "9223372036854775806:9223372036854775807"},
+		{"-mode", "payback", "-chiplets", "9223372036854775807"},
+		{"-mode", "sweep", "-nodes", "7nm", "-schemes", "MCM", "-area-range", "100:100:1", "-count-range", "4096:4097"},
+	} {
+		var out bytes.Buffer
+		err := run(context.Background(), args, &out)
+		if err == nil || !strings.Contains(err.Error(), "4096") {
+			t.Errorf("%v: err = %v, want an error naming the bound of 4096", args, err)
+		}
+	}
+}
+
 func TestSweepMode(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-mode", "sweep",

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chipletactuary/internal/dtod"
+	"chipletactuary/internal/memo/memotest"
 	"chipletactuary/internal/packaging"
 	"chipletactuary/internal/system"
 	"chipletactuary/internal/tech"
@@ -147,5 +148,31 @@ func TestCacheConcurrent(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+}
+
+func TestKGDTablePointerFree(t *testing.T) {
+	memotest.PointerFree[dieKey, dieValue](t)
+}
+
+// TestKGDHashFoldsNodeName checks that naming the node by id leaves
+// every key's hash — and so its shard and eviction order — as it was
+// when the key held the node's name: FNV-1a over the name bytes, then
+// the area bits.
+func TestKGDHashFoldsNodeName(t *testing.T) {
+	db := tech.Default()
+	hash := dieKeyHash(db)
+	for _, name := range db.Names() {
+		id, _ := db.NodeID(name)
+		for _, area := range []float64{0.5, 100, 333.3, 1e6} {
+			h := uint64(1469598103934665603)
+			for i := 0; i < len(name); i++ {
+				h = (h ^ uint64(name[i])) * 1099511628211
+			}
+			h = (h ^ math.Float64bits(area)) * 1099511628211
+			if got := hash(dieKey{node: id, areaMM2: area, salvageFraction: 0.3}); got != h {
+				t.Fatalf("%s %v: hash %#x, want %#x", name, area, got, h)
+			}
+		}
 	}
 }

@@ -52,7 +52,7 @@ func NewEngineWithCache(db *tech.Database, params packaging.Params, cacheSize in
 	if err != nil {
 		return nil, err
 	}
-	e.cache = newKGDCache(cacheSize)
+	e.cache = newKGDCache(cacheSize, db)
 	return e, nil
 }
 
@@ -229,10 +229,19 @@ func (e *Engine) REFloor(s system.System) (float64, bool) {
 // bit-identical Uniform.DieAreaMM2), consulting the KGD cache when
 // enabled.
 func (e *Engine) dieCost(c system.Chiplet, area float64, tally *cacheTally) (DieCost, error) {
-	key := DieKey{Node: c.Node, AreaMM2: area}
+	id, err := e.db.NodeID(c.Node)
+	if err != nil {
+		return DieCost{}, err
+	}
+	return e.dieCostAt(c, id, area, tally)
+}
+
+// dieCostAt is dieCost for a chiplet on the node with database id id.
+func (e *Engine) dieCostAt(c system.Chiplet, id int, area float64, tally *cacheTally) (DieCost, error) {
+	key := dieKey{node: id, areaMM2: area}
 	if c.Salvage != nil {
-		key.SalvageFraction = c.Salvage.Fraction
-		key.SalvageValue = c.Salvage.Value
+		key.salvageFraction = c.Salvage.Fraction
+		key.salvageValue = c.Salvage.Value
 	}
 	if e.cache != nil {
 		if v, ok := e.cache.Peek(key); ok {
@@ -242,10 +251,7 @@ func (e *Engine) dieCost(c system.Chiplet, area float64, tally *cacheTally) (Die
 		}
 		tally.misses++
 	}
-	node, err := e.db.Node(c.Node)
-	if err != nil {
-		return DieCost{}, err
-	}
+	node := e.db.NodeByID(id)
 	perDie, err := e.params.Wafer.CostPerRawDie(e.params.Estimator, node.WaferCost, area)
 	if err != nil {
 		return DieCost{}, fmt.Errorf("cost: die %q: %w", c.Name, err)
@@ -287,60 +293,77 @@ func (e *Engine) RE(s system.System) (Breakdown, error) {
 func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error) {
 	// Validate-order errors this shape can still produce: unknown
 	// node first (from the placement walk), then negative quantity.
-	if _, err := e.db.Node(u.Node); err != nil {
+	id, err := e.db.NodeID(u.Node)
+	if err != nil {
 		return Breakdown{}, system.WrapUniformNodeErr(s, err)
 	}
 	if s.Quantity < 0 {
 		return Breakdown{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
 	}
-	var tally cacheTally
-	dc, err := e.dieCost(s.Placements[0].Chiplet, u.DieAreaMM2, &tally)
+	dc, err := e.UniformDie(s, u, id)
 	if err != nil {
 		return Breakdown{}, err
 	}
 	if !(dc.KGD >= 0) {
-		// A pathological tech database (negative cost coefficients)
-		// can price a die below zero; the general path rejects that
-		// in assembly validation, so let it.
+		// A pathological tech database (a NaN cost, which node
+		// validation admits) can price a die at NaN; the general path
+		// owns that case (and would reject a KGD below zero in
+		// assembly validation), so let it.
 		return e.reSlow(s)
 	}
-	// One probe stood in for k identical dies; account as the per-die
-	// walk would have: the first outcome plus k−1 hits.
-	tally.hits += int64(u.K - 1)
-	e.cache.Note(tally.hits, tally.misses)
-
-	k := u.K
-	b := Breakdown{Dies: make([]DieCost, k)}
-	var totalArea, totalKGD float64
-	for i := 0; i < k; i++ {
-		// Field by field into the zeroed entry: no per-die copy of dc.
-		d := &b.Dies[i]
-		d.Name = s.Placements[i].Chiplet.Name
-		d.Node = dc.Node
-		d.AreaMM2 = dc.AreaMM2
-		d.Raw = dc.Raw
-		d.Yield = dc.Yield
-		d.KGD = dc.KGD
-		b.RawChips += dc.Raw
-		b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
-		totalArea += dc.AreaMM2
-		totalKGD += dc.KGD
-	}
-	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, packaging.PartialKey{
-		Scheme:          s.Scheme,
-		Flow:            s.Flow,
-		Dies:            k,
-		TotalDieAreaMM2: totalArea,
-	})
+	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, u.PackageKey(s.Scheme, s.Flow))
 	if err != nil {
 		return Breakdown{}, err
+	}
+	return UniformBreakdown(s, u, dc.Raw, dc.Yield, pt), nil
+}
+
+// UniformDie prices the die all k chiplets of a uniform system share,
+// on the node with database id id, with one KGD probe, as REUniform
+// does. A die priced at a KGD of zero or more books that probe as the
+// per-die walk's k probes: its outcome plus k−1 hits. Any other
+// outcome (an error, a KGD below zero or NaN) books nothing; REUniform
+// then reports the error or takes the general walk, which books its
+// own probes.
+func (e *Engine) UniformDie(s system.System, u system.Uniform, id int) (DieCost, error) {
+	var tally cacheTally
+	dc, err := e.dieCostAt(s.Placements[0].Chiplet, id, u.DieAreaMM2, &tally)
+	if err != nil || !(dc.KGD >= 0) {
+		return dc, err
+	}
+	tally.hits += int64(u.K - 1)
+	e.cache.Note(tally.hits, tally.misses)
+	return dc, nil
+}
+
+// UniformBreakdown assembles the RE breakdown of a uniform system
+// whose k dies each price at raw and yield and whose package prices as
+// pt: the per-die walk's k in-order sums, then pt applied to the summed
+// KGD cost. REUniform and the evaluator's uniform-shape table both
+// build their answers here, so both carry the general walk's bits.
+func UniformBreakdown(s system.System, u system.Uniform, raw, yield float64, pt packaging.Partial) Breakdown {
+	kgd := raw / yield
+	b := Breakdown{Dies: make([]DieCost, u.K)}
+	var totalKGD float64
+	for i := range b.Dies {
+		// Field by field into the zeroed entry: no per-die copy.
+		d := &b.Dies[i]
+		d.Name = s.Placements[i].Chiplet.Name
+		d.Node = u.Node
+		d.AreaMM2 = u.DieAreaMM2
+		d.Raw = raw
+		d.Yield = yield
+		d.KGD = kgd
+		b.RawChips += raw
+		b.ChipDefects += raw * (1/yield - 1)
+		totalKGD += kgd
 	}
 	pkg := pt.Apply(totalKGD)
 	b.Packaging = pkg
 	b.RawPackage = pkg.RawPackage
 	b.PackageDefects = pkg.PackageDefects
 	b.WastedKGD = pkg.WastedKGD
-	return b, nil
+	return b
 }
 
 // reSlow is the general per-placement walk. It prices every die in

@@ -34,9 +34,12 @@ type Evaluator struct {
 	Cost *cost.Engine
 	NRE  *nre.Engine
 
+	db *tech.Database
 	// partials is the packaging partial cache shared by both engines
-	// (nil when disabled); kept for stats reporting.
+	// and the shape table; shapes is the uniform-shape table Single
+	// prices from. Both are nil when disabled.
 	partials *packaging.PartialCache
+	shapes   *shapeCache
 }
 
 // NewEvaluator builds an evaluator from a database and packaging
@@ -50,7 +53,7 @@ func NewEvaluator(db *tech.Database, params packaging.Params) (*Evaluator, error
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{Cost: ce, NRE: ne}, nil
+	return &Evaluator{Cost: ce, NRE: ne, db: db}, nil
 }
 
 // NewEvaluatorWithCache builds an evaluator whose cost engine memoizes
@@ -61,38 +64,44 @@ func NewEvaluatorWithCache(db *tech.Database, params packaging.Params, cacheSize
 	return NewEvaluatorWithCaches(db, params, cacheSize, DefaultPartialsCacheSize)
 }
 
-// DefaultPartialsCacheSize bounds the packaging-partial and NRE-term
-// memo tables when the caller does not size them explicitly. An
-// innermost-axis run shares one (scheme, area, count) key per point
-// across both engines, so the working set is roughly one entry per
-// in-flight point — 8k entries comfortably covers a slab-dispatched
-// sweep. The two tables are preallocated at this size and never grow:
-// together they hold 2.76 MiB from construction on (0.36 MiB more for
-// a 4096-entry KGD cache).
+// DefaultPartialsCacheSize bounds the packaging-partial and
+// uniform-shape tables when the caller does not size them explicitly.
+// An innermost-axis run touches one package and one shape key per
+// point, so the working set is roughly one entry per in-flight point —
+// 8k entries comfortably covers a slab-dispatched sweep. The two
+// tables are preallocated at this size and never grow, and their
+// entries hold no pointer, so the collector never scans them: together
+// they hold 2.88 MiB from construction on (1.5 MiB for the partials,
+// 1.38 MiB for the shapes at 160 bytes an entry; 0.32 MiB more for a
+// 4096-entry KGD cache).
 const DefaultPartialsCacheSize = 8192
 
 // NewEvaluatorWithCaches additionally bounds the partial caches: one
-// packaging partial cache shared by the cost and NRE engines (so each
-// sweep point prices its package geometry once, not once per engine)
-// and the NRE engine's uniform-term cache. partialsSize ≤ 0 disables
-// partial memoization; the closed-form uniform fast path still runs,
-// just cache-less.
+// packaging partial cache shared by the cost and NRE engines and the
+// shape table (so each sweep point prices its package geometry once,
+// not once per engine), and the uniform-shape table, which holds each
+// uniform shape's die and package price so that Single answers a
+// repeated uniform point with one probe. partialsSize ≤ 0 disables
+// both; the closed-form uniform path still runs, just table-less.
 func NewEvaluatorWithCaches(db *tech.Database, params packaging.Params, cacheSize, partialsSize int) (*Evaluator, error) {
 	pc := packaging.NewPartialCache(partialsSize)
 	ce, err := cost.NewEngineWithCaches(db, params, cacheSize, pc)
 	if err != nil {
 		return nil, err
 	}
-	ne, err := nre.NewEngineWithCaches(db, params, pc, partialsSize)
+	ne, err := nre.NewEngineWithCaches(db, params, pc)
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{Cost: ce, NRE: ne, partials: pc}, nil
+	return &Evaluator{Cost: ce, NRE: ne, db: db, partials: pc, shapes: newShapeCache(partialsSize, db)}, nil
 }
 
-// PartialsStats reports the partial-memoization counters: the shared
-// packaging partial cache and the NRE uniform-term cache. Both are
-// zero when partial caching is disabled.
+// PartialsStats reports the partial-memoization counters: Packaging
+// for the shared packaging partial cache, NRE for the uniform-shape
+// table (the counters perfbench reports as nre.uniform_hit_ratio).
+// Both are zero when partial caching is disabled. A shape-table hit
+// answers its point whole, so the packaging counters (and the KGD
+// cache's) count only the probes the shape table did not answer.
 type PartialsStats struct {
 	Packaging memo.Stats
 	NRE       memo.Stats
@@ -102,7 +111,7 @@ type PartialsStats struct {
 func (e *Evaluator) PartialsCacheStats() PartialsStats {
 	return PartialsStats{
 		Packaging: e.partials.Stats(),
-		NRE:       e.NRE.CacheStats(),
+		NRE:       e.shapes.Stats(),
 	}
 }
 
@@ -126,13 +135,19 @@ func (t TotalCost) NREShare() float64 {
 
 // Single evaluates a standalone system (a one-member portfolio).
 // Uniform systems — the shape every sweep candidate has — are proved
-// uniform once and take a closed-form fast path through both engines
-// that skips the general walk (design table, sort, per-die package
-// checks) with bit-identical results, including error messages and
-// their order: like Portfolio, NRE validation errors surface before
-// RE ones. Any other shape is priced as a one-member Portfolio.
+// uniform once and priced from the uniform-shape table: one probe for
+// a shape seen before, whose die and package price are reused and
+// whose NRE is recomputed from the node, with results bit-identical
+// to the general walk. A uniform system the shape path cannot price
+// (an error case) takes the step path — NRE.EvaluateUniform, then
+// Cost.REUniform — which reports the error exactly, including its
+// order: like Portfolio, NRE validation errors surface before RE ones.
+// Any other shape is priced as a one-member Portfolio.
 func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error) {
 	if u, ok := system.AsUniform(s); ok {
+		if tc, ok := e.singleShape(s, u, policy); ok {
+			return tc, nil
+		}
 		nb, err := e.NRE.EvaluateUniform(s, u, policy)
 		if err != nil {
 			return TotalCost{}, err

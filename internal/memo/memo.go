@@ -99,6 +99,23 @@ func New[K comparable, V any](max int, hash func(K) uint64) *Cache[K, V] {
 	return c
 }
 
+// HashPrime is FNV-1a's 64-bit prime. The cost model's tables fold
+// their key fields into a hash with it, seedless: a seeded hash would
+// cost as much as a miss.
+const HashPrime = 1099511628211
+
+// HashString is FNV-1a over s's bytes. A table keyed by a small
+// integer that stands for a string (a node id) starts each key's hash
+// from HashString of that string, precomputed once per integer, so
+// its shard choice is that of a key holding the string itself.
+func HashString(s string) uint64 {
+	h := uint64(1469598103934665603) // FNV-1a's 64-bit offset basis
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * HashPrime
+	}
+	return h
+}
+
 // mix is murmur3's fmix64 finalizer: every output bit depends on every
 // input bit, so the low bits that give the tag and the index position
 // are well spread even when the caller's hash is not.

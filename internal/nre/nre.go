@@ -124,11 +124,9 @@ type Engine struct {
 	db     *tech.Database
 	params packaging.Params
 	// partials routes package geometry probes through a shared
-	// packaging partial cache; uni memoizes the quantity-independent
-	// NRE terms of uniform sweep candidates. Both are nil (disabled)
-	// unless the engine is built with NewEngineWithCaches.
+	// packaging partial cache; nil (disabled) unless the engine is
+	// built with NewEngineWithCaches.
 	partials *packaging.PartialCache
-	uni      *uniformCache
 }
 
 // NewEngine builds an NRE engine.

@@ -177,7 +177,7 @@ func TestPortfolioMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := NewEngineWithCaches(db, params, packaging.NewPartialCache(64), 64)
+	cached, err := NewEngineWithCaches(db, params, packaging.NewPartialCache(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,109 +2,24 @@ package nre
 
 import (
 	"fmt"
-	"math"
 
-	"chipletactuary/internal/memo"
 	"chipletactuary/internal/packaging"
 	"chipletactuary/internal/system"
 	"chipletactuary/internal/tech"
 )
 
-// uniformKey names the axes one uniform system's NRE terms actually
-// depend on: the node (module/chip/D2D cost factors), the scheme and
-// flow (package NRE factors and geometry), the per-chiplet areas, and
-// the partition width. The system name and quantity are deliberately
-// excluded — they only label and amortize the cached terms.
-type uniformKey struct {
-	node       string
-	scheme     packaging.Scheme
-	flow       packaging.Flow
-	k          int
-	moduleArea float64
-	d2dArea    float64
-}
-
-func uniformKeyHash(k uniformKey) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(k.node); i++ {
-		h = (h ^ uint64(k.node[i])) * 1099511628211
-	}
-	h = (h ^ (uint64(k.scheme)<<24 | uint64(k.flow)<<16 | uint64(uint16(k.k)))) * 1099511628211
-	h = (h ^ math.Float64bits(k.moduleArea)) * 1099511628211
-	h = (h ^ math.Float64bits(k.d2dArea)) * 1099511628211
-	return h
-}
-
-// uniformEntry caches everything quantity-independent about one
-// uniform shape: the un-amortized per-design costs and the errors
-// that are fully determined by the key.
-type uniformEntry struct {
-	nodeErr    error // unknown node; wrapped with system/chiplet names per call
-	chipCost   float64
-	moduleCost float64
-	d2dCost    float64
-	hasD2D     bool
-	pkgCost    float64
-	pkgErr     error
-}
-
-// uniformCache bounds the NRE term memo table.
-type uniformCache = memo.Cache[uniformKey, uniformEntry]
-
-// NewEngineWithCaches builds an engine whose uniform-shape NRE terms
-// are memoized (cacheSize entries; ≤ 0 disables) and whose package
-// geometry probes go through the given partial cache — typically the
-// same instance the evaluator's cost engine uses, so a sweep point
-// prices its package once across both engines. A nil partials cache
-// just disables that sharing.
-func NewEngineWithCaches(db *tech.Database, params packaging.Params, partials *packaging.PartialCache, cacheSize int) (*Engine, error) {
+// NewEngineWithCaches builds an engine whose package geometry probes
+// go through the given partial cache — typically the same instance the
+// evaluator's cost engine uses, so a sweep point prices its package
+// once across both engines. A nil partials cache just disables that
+// sharing.
+func NewEngineWithCaches(db *tech.Database, params packaging.Params, partials *packaging.PartialCache) (*Engine, error) {
 	e, err := NewEngine(db, params)
 	if err != nil {
 		return nil, err
 	}
 	e.partials = partials
-	e.uni = memo.New[uniformKey, uniformEntry](cacheSize, uniformKeyHash)
 	return e, nil
-}
-
-// CacheStats reports the uniform-term cache's counters (zero when
-// disabled).
-func (e *Engine) CacheStats() memo.Stats { return e.uni.Stats() }
-
-// computeUniform fills a uniformEntry from scratch.
-func (e *Engine) computeUniform(k uniformKey) uniformEntry {
-	node, err := e.db.Node(k.node)
-	if err != nil {
-		return uniformEntry{nodeErr: err}
-	}
-	// dieArea reconstructed in Chiplet.DieArea's add order.
-	dieArea := k.moduleArea + k.d2dArea
-	ent := uniformEntry{
-		chipCost:   node.Kc*dieArea + node.FixedChipNRE,
-		moduleCost: node.Km * k.moduleArea,
-		d2dCost:    node.D2DNRE,
-		hasD2D:     k.d2dArea > 0,
-	}
-	// Total die area exactly as Assembly.TotalDieArea sums it: k
-	// in-order additions.
-	var totalDie float64
-	for i := 0; i < k.k; i++ {
-		totalDie += dieArea
-	}
-	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, packaging.PartialKey{
-		Scheme:          k.scheme,
-		Flow:            k.flow,
-		Dies:            k.k,
-		TotalDieAreaMM2: totalDie,
-	})
-	if err != nil {
-		ent.pkgErr = err
-		return ent
-	}
-	geom := pt.Result.SubstrateAreaMM2 + pt.Result.InterposerAreaMM2
-	kp, fixed := k.scheme.NREFactors()
-	ent.pkgCost = kp*geom + fixed
-	return ent
 }
 
 // EvaluateUniform computes the per-unit NRE breakdown of a uniform
@@ -113,29 +28,18 @@ func (e *Engine) computeUniform(k uniformKey) uniformEntry {
 // messages and their ordering. Callers must pass a u obtained from
 // system.AsUniform(s).
 func (e *Engine) EvaluateUniform(s system.System, u system.Uniform, policy Policy) (Breakdown, error) {
-	key := uniformKey{
-		node:       u.Node,
-		scheme:     s.Scheme,
-		flow:       s.Flow,
-		k:          u.K,
-		moduleArea: u.ModuleAreaMM2,
-		d2dArea:    u.D2DAreaMM2,
-	}
-	ent, ok := e.uni.Get(key)
-	if !ok {
-		ent = e.computeUniform(key)
-		e.uni.Put(key, ent)
-	}
 	// Error order mirrors the general path: validation (unknown node,
 	// negative quantity), then package geometry, then amortization.
-	if ent.nodeErr != nil {
-		return Breakdown{}, system.WrapUniformNodeErr(s, ent.nodeErr)
+	node, err := e.db.Node(u.Node)
+	if err != nil {
+		return Breakdown{}, system.WrapUniformNodeErr(s, err)
 	}
 	if s.Quantity < 0 {
 		return Breakdown{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
 	}
-	if ent.pkgErr != nil {
-		return Breakdown{}, ent.pkgErr
+	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, u.PackageKey(s.Scheme, s.Flow))
+	if err != nil {
+		return Breakdown{}, err
 	}
 	q := s.Quantity
 	if q == 0 {
@@ -150,12 +54,24 @@ func (e *Engine) EvaluateUniform(s system.System, u system.Uniform, policy Polic
 		}
 		return Breakdown{}, fmt.Errorf("nre: design %q has no production volume to amortize over", "chip/"+min)
 	}
-	return amortizeUniform(ent, u.K, q, policy), nil
+	return AmortizeUniform(&node, u, s.Scheme, &pt, q, policy), nil
 }
 
-// amortizeUniform spreads a cached uniform entry's per-design costs
-// over the production volume.
-func amortizeUniform(ent uniformEntry, k int, q float64, policy Policy) Breakdown {
+// AmortizeUniform is the per-unit NRE of a uniform system on node,
+// whose package under scheme prices as pt, at production quantity q:
+// EvaluateUniform's answer once validation and package pricing have
+// passed. The design costs are those the general walk claims — chip
+// Kc·S + C, module Km·S, the node's D2D design when the chiplets carry
+// an interface, package Kp·(substrate + interposer) + Cp — and each is
+// spread over the volume in the general path's expression shape, so
+// the bits match. The evaluator's uniform-shape table prices here too.
+func AmortizeUniform(node *tech.Node, u system.Uniform, scheme packaging.Scheme, pt *packaging.Partial,
+	q float64, policy Policy) Breakdown {
+	k := u.K
+	chipCost := node.Kc*u.DieAreaMM2 + node.FixedChipNRE
+	moduleCost := node.Km * u.ModuleAreaMM2
+	kp, fixed := scheme.NREFactors()
+	pkgCost := kp*(pt.Result.SubstrateAreaMM2+pt.Result.InterposerAreaMM2) + fixed
 	var b Breakdown
 	switch policy {
 	case PerInstance:
@@ -165,32 +81,32 @@ func amortizeUniform(ent uniformEntry, k int, q float64, policy Policy) Breakdow
 		// (cost·k)/(q·k). Both are written in the general path's
 		// exact expression shape to preserve the bits.
 		denom1 := q * 1.0
-		cShare := ent.chipCost * 1.0 / denom1
-		mShare := ent.moduleCost * 1.0 / denom1
+		cShare := chipCost * 1.0 / denom1
+		mShare := moduleCost * 1.0 / denom1
 		for i := 0; i < k; i++ {
 			b.Chips += cShare
 		}
 		for i := 0; i < k; i++ {
 			b.Modules += mShare
 		}
-		if ent.hasD2D {
+		if u.D2DAreaMM2 > 0 {
 			kf := float64(k)
-			b.D2D += ent.d2dCost * kf / (q * kf)
+			b.D2D += node.D2DNRE * kf / (q * kf)
 		}
-		b.Packages += ent.pkgCost * 1.0 / denom1
+		b.Packages += pkgCost * 1.0 / denom1
 	default:
-		cShare := ent.chipCost / q
-		mShare := ent.moduleCost / q
+		cShare := chipCost / q
+		mShare := moduleCost / q
 		for i := 0; i < k; i++ {
 			b.Chips += cShare
 		}
 		for i := 0; i < k; i++ {
 			b.Modules += mShare
 		}
-		if ent.hasD2D {
-			b.D2D += ent.d2dCost / q
+		if u.D2DAreaMM2 > 0 {
+			b.D2D += node.D2DNRE / q
 		}
-		b.Packages += ent.pkgCost / q
+		b.Packages += pkgCost / q
 	}
 	return b
 }

@@ -11,7 +11,7 @@ import (
 
 func cachedEngine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := NewEngineWithCaches(tech.Default(), packaging.DefaultParams(), packaging.NewPartialCache(512), 512)
+	e, err := NewEngineWithCaches(tech.Default(), packaging.DefaultParams(), packaging.NewPartialCache(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,5 @@ func TestEvaluateUniformMatchesPortfolio(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no successful points compared")
-	}
-	if st := fast.CacheStats(); st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("uniform cache never exercised: %+v", st)
 	}
 }

@@ -169,20 +169,21 @@ func (k PartialKey) Hash() uint64 {
 	return h
 }
 
-// PartialOutcome is the memoized outcome of PartialFor. Errors are
-// fully determined by the key (scheme, flow, geometry feasibility),
-// so negative outcomes replay exactly; the cached error value is
-// never mutated and is safe to return to many callers.
+// PartialOutcome is the memoized outcome of PartialFor: the partial,
+// or Failed when PartialFor returned an error. Errors are fully
+// determined by the key (scheme, flow, geometry feasibility), so
+// CachedPartial replays a failure by calling PartialFor again instead
+// of storing the error: the table's entries hold no pointer, and the
+// collector never scans them.
 type PartialOutcome struct {
 	Partial Partial
-	Err     error
+	Failed  bool
 }
 
 // PartialCache memoizes packaging partials. One instance is shared by
-// the cost and NRE engines of an evaluator so that a sweep point's
-// NRE geometry probe warms the cache for its RE evaluation (and
-// vice versa), halving packaging work per point even when no two
-// points share a key.
+// the cost and NRE engines of an evaluator (and by its uniform-shape
+// table, which prices a shape's package here once), so that a sweep
+// point's package is priced once however many engines need it.
 type PartialCache = memo.Cache[PartialKey, PartialOutcome]
 
 // NewPartialCache builds a bounded partial cache; max < 1 returns the
@@ -194,10 +195,13 @@ func NewPartialCache(max int) *PartialCache {
 // CachedPartial is PartialFor through a (possibly nil) cache.
 func CachedPartial(c *PartialCache, p Params, db *tech.Database, k PartialKey) (Partial, error) {
 	if out, ok := c.Get(k); ok {
-		return out.Partial, out.Err
+		if out.Failed {
+			return PartialFor(p, db, k)
+		}
+		return out.Partial, nil
 	}
 	pt, err := PartialFor(p, db, k)
-	c.Put(k, PartialOutcome{Partial: pt, Err: err})
+	c.Put(k, PartialOutcome{Partial: pt, Failed: err != nil})
 	return pt, err
 }
 

@@ -1,11 +1,13 @@
 package packaging
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"chipletactuary/internal/memo/memotest"
 	"chipletactuary/internal/tech"
 	"chipletactuary/internal/units"
 )
@@ -344,5 +346,30 @@ func TestNREFactorsOrdering(t *testing.T) {
 	}
 	if k, f := Scheme(99).NREFactors(); k != 0 || f != 0 {
 		t.Error("unknown scheme should have zero NRE factors")
+	}
+}
+
+func TestPartialTablePointerFree(t *testing.T) {
+	memotest.PointerFree[PartialKey, PartialOutcome](t)
+}
+
+// TestCachedPartialReplaysFailure checks that a cached failure, stored
+// as a flag, replays PartialFor's error and zero partial exactly.
+func TestCachedPartialReplaysFailure(t *testing.T) {
+	p := DefaultParams()
+	c := NewPartialCache(64)
+	k := PartialKey{Scheme: TwoPointFiveD, Flow: ChipLast, Dies: 2, TotalDieAreaMM2: 5000}
+	wantPt, wantErr := PartialFor(p, db(t), k)
+	if wantErr == nil {
+		t.Fatal("an oversized interposer priced")
+	}
+	for pass := 0; pass < 3; pass++ {
+		pt, err := CachedPartial(c, p, db(t), k)
+		if pt != wantPt || fmt.Sprint(err) != wantErr.Error() {
+			t.Fatalf("pass %d: %+v, %v; want %+v, %v", pass, pt, err, wantPt, wantErr)
+		}
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 2 hits, 1 miss, 1 entry", st)
 	}
 }

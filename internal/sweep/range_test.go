@@ -4,12 +4,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"chipletactuary/internal/system"
 )
 
 // TestAxisRangesRejectHostileBounds checks that the axis expanders
 // return an error, and never panic or allocate without bound, for
-// non-finite bounds and steps, for ranges whose value count overflows
-// an int or exceeds MaxAxisLen, and for steps finer than the spacing of
+// non-finite bounds and steps, for area ranges whose value count
+// overflows an int or exceeds MaxAxisLen, for count ranges that go past
+// system.MaxPartitionCount, and for steps finer than the spacing of
 // float64 values; and that ranges at the limit still expand.
 func TestAxisRangesRejectHostileBounds(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -61,11 +64,14 @@ func TestAxisRangesRejectHostileBounds(t *testing.T) {
 		want   string
 		n      int
 	}{
-		{1, math.MaxInt, "more than", 0},
-		{1, 1 << 20, "", 1 << 20},
-		{1, 1<<20 + 1, "more than", 0},
-		{math.MaxInt - 2, math.MaxInt, "", 3},
-		{math.MaxInt, math.MaxInt, "", 1},
+		{1, math.MaxInt, "goes past", 0},
+		{1, system.MaxPartitionCount, "", system.MaxPartitionCount},
+		{1, system.MaxPartitionCount + 1, "goes past", 0},
+		{system.MaxPartitionCount - 2, system.MaxPartitionCount, "", 3},
+		{system.MaxPartitionCount, system.MaxPartitionCount, "", 1},
+		{1, 1 << 20, "goes past", 0},
+		{math.MaxInt - 1, math.MaxInt, "goes past", 0},
+		{math.MaxInt, math.MaxInt, "goes past", 0},
 		{0, 3, "sub-1", 0},
 		{math.MinInt, -1, "sub-1", 0},
 		{6, 2, "inverted", 0},
@@ -119,22 +125,27 @@ func FuzzAreaRange(f *testing.F) {
 	})
 }
 
-// FuzzCountRange checks that CountRange never panics and that every
-// axis it returns is non-empty, at most MaxAxisLen long, and counts up
-// by one from lo to hi.
+// FuzzCountRange checks that CountRange never panics, that it accepts
+// exactly the ranges with 1 ≤ lo ≤ hi ≤ system.MaxPartitionCount, and
+// that every axis it returns counts up by one from lo to hi.
 func FuzzCountRange(f *testing.F) {
 	for _, seed := range [][2]int{
 		{1, 8}, {1, 1}, {4, 1}, {0, 3}, {-5, 5}, {math.MinInt, math.MaxInt},
 		{1, math.MaxInt}, {math.MaxInt - 2, math.MaxInt}, {1, 1 << 20}, {1, 1<<20 + 1},
+		{1, system.MaxPartitionCount}, {1, system.MaxPartitionCount + 1},
+		{system.MaxPartitionCount, system.MaxPartitionCount + 1}, {system.MaxPartitionCount + 1, math.MaxInt},
 	} {
 		f.Add(seed[0], seed[1])
 	}
 	f.Fuzz(func(t *testing.T, lo, hi int) {
 		axis, err := CountRange(lo, hi)
+		if valid := 1 <= lo && lo <= hi && hi <= system.MaxPartitionCount; (err == nil) != valid {
+			t.Fatalf("CountRange(%d, %d): error %v, want accepted = %v", lo, hi, err, valid)
+		}
 		if err != nil {
 			return
 		}
-		if len(axis) == 0 || len(axis) > MaxAxisLen || axis[0] != lo || axis[len(axis)-1] != hi {
+		if len(axis) == 0 || len(axis) > system.MaxPartitionCount || axis[0] != lo || axis[len(axis)-1] != hi {
 			t.Fatalf("CountRange(%d, %d): %d values", lo, hi, len(axis))
 		}
 		for i, k := range axis {

@@ -107,6 +107,10 @@ func (g Grid) Validate() error {
 		if k < 1 {
 			return fmt.Errorf("sweep: grid %q has partition count %d < 1", g.Name, k)
 		}
+		if k > system.MaxPartitionCount {
+			return fmt.Errorf("sweep: grid %q has partition count %d > %d (system.MaxPartitionCount)",
+				g.Name, k, system.MaxPartitionCount)
+		}
 		if k > maxK {
 			maxK = k
 		}
@@ -606,7 +610,7 @@ func (it *Generator) Next() (Point, bool) {
 			// The scalar image of PartitionEqual's unbuildable-
 			// combination checks: same conditions, same Pruned
 			// accounting, no system construction.
-			if k < 1 || area <= 0 || (sch == packaging.SoC && k > 1) {
+			if k < 1 || k > system.MaxPartitionCount || area <= 0 || (sch == packaging.SoC && k > 1) {
 				it.stats.Pruned++
 				continue
 			}
@@ -764,8 +768,9 @@ func (it *Generator) aboveBound(p Point) bool {
 	return true
 }
 
-// MaxAxisLen is the most values AreaRange and CountRange expand a
-// range into; a longer range is an error, not a huge allocation.
+// MaxAxisLen is the most values AreaRange expands a range into; a
+// longer range is an error, not a huge allocation. CountRange's axes
+// are shorter still: no count exceeds system.MaxPartitionCount.
 const MaxAxisLen = 1 << 20
 
 // AreaRange expands an inclusive [lo, hi] module-area range with the
@@ -811,16 +816,15 @@ func AreaRange(loMM2, hiMM2, stepMM2 float64) ([]float64, error) {
 }
 
 // CountRange expands an inclusive [lo, hi] partition-count range into
-// an explicit axis of at most MaxAxisLen values.
+// an explicit axis; 1 ≤ lo ≤ hi ≤ system.MaxPartitionCount.
 func CountRange(lo, hi int) ([]int, error) {
 	if lo < 1 || hi < lo {
 		return nil, fmt.Errorf("sweep: inverted or sub-1 count range [%d, %d]", lo, hi)
 	}
-	// 1 ≤ lo ≤ hi, so hi-lo cannot overflow.
-	if hi-lo >= MaxAxisLen {
-		return nil, fmt.Errorf("sweep: count range [%d, %d] has more than %d values", lo, hi, MaxAxisLen)
+	if hi > system.MaxPartitionCount {
+		return nil, fmt.Errorf("sweep: count range [%d, %d] goes past %d (system.MaxPartitionCount)",
+			lo, hi, system.MaxPartitionCount)
 	}
-	// Indexed, so hi = math.MaxInt cannot wrap the loop counter.
 	out := make([]int, hi-lo+1)
 	for i := range out {
 		out[i] = lo + i

@@ -10,6 +10,7 @@ import (
 
 	"chipletactuary/internal/dtod"
 	"chipletactuary/internal/packaging"
+	"chipletactuary/internal/system"
 )
 
 func testGrid() Grid {
@@ -206,6 +207,12 @@ func TestGridValidate(t *testing.T) {
 		{"-Inf area", func(g *Grid) { g.AreasMM2 = []float64{-inf} }, "non-positive area -Inf"},
 		{"NaN quantity", func(g *Grid) { g.Quantities = []float64{nan} }, "non-finite quantity NaN"},
 		{"+Inf quantity", func(g *Grid) { g.Quantities = []float64{1e6, inf} }, "non-finite quantity +Inf"},
+		{"count past the bound", func(g *Grid) { g.Counts = []int{2, system.MaxPartitionCount + 1} },
+			"partition count 4097 > 4096"},
+		{"MaxInt count", func(g *Grid) { g.Counts = []int{math.MaxInt - 1, math.MaxInt} },
+			"partition count 9223372036854775806 > 4096"},
+		{"trillion count", func(g *Grid) { g.Counts = []int{1_000_000_000_000} },
+			"partition count 1000000000000 > 4096"},
 	} {
 		g := testGrid()
 		tc.mutate(&g)

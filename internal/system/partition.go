@@ -20,6 +20,13 @@ func Monolithic(name, node string, moduleAreaMM2, quantity float64) System {
 	return exact.monolithic(name, nil, node, moduleAreaMM2, quantity)
 }
 
+// MaxPartitionCount bounds the partition count PartitionEqual accepts,
+// and so every sweep count axis (sweep.Grid.Validate, sweep.CountRange):
+// 4096 chiplets is far past any package the paper's schemes can build,
+// and a larger count would only ask the builder for placements and
+// names by the gigabyte.
+const MaxPartitionCount = 4096
+
 // PartitionEqual re-partitions a monolithic module area into k
 // distinct chiplets of equal module area, each carrying the D2D
 // overhead, integrated by the given scheme. This is the §4.1
@@ -117,6 +124,9 @@ func (c *Chunks) partitionEqual(name string, nameBytes []byte, node string, modu
 	scheme packaging.Scheme, d2d dtod.Overhead, quantity float64) (System, error) {
 	if k < 1 {
 		return System{}, fmt.Errorf("system: partition count %d must be ≥ 1", k)
+	}
+	if k > MaxPartitionCount {
+		return System{}, fmt.Errorf("system: partition count %d exceeds the bound of %d", k, MaxPartitionCount)
 	}
 	if moduleAreaMM2 <= 0 {
 		return System{}, fmt.Errorf("system: module area %v must be positive", moduleAreaMM2)

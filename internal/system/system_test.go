@@ -137,6 +137,22 @@ func TestPartitionEqualSoCSpecialCases(t *testing.T) {
 	}
 }
 
+// TestPartitionEqualCountBound checks that PartitionEqual builds a
+// system at MaxPartitionCount and returns an error, instead of asking
+// for an impossible allocation, past it.
+func TestPartitionEqualCountBound(t *testing.T) {
+	s, err := PartitionEqual("sys", "7nm", 600, MaxPartitionCount, packaging.MCM, dtod.None{}, 1e6)
+	if err != nil || len(s.Placements) != MaxPartitionCount {
+		t.Fatalf("k = MaxPartitionCount: %d placements, %v", len(s.Placements), err)
+	}
+	for _, k := range []int{MaxPartitionCount + 1, 1_000_000_000_000, math.MaxInt} {
+		if _, err := PartitionEqual("sys", "7nm", 600, k, packaging.MCM, dtod.None{}, 1e6); err == nil ||
+			!strings.Contains(err.Error(), "exceeds the bound of 4096") {
+			t.Errorf("k = %d: err = %v, want the count bound", k, err)
+		}
+	}
+}
+
 func TestPartitionWeighted(t *testing.T) {
 	s, err := PartitionWeighted("sys", "7nm", 600, []float64{3, 1}, packaging.MCM, dtod.None{}, 1e6)
 	if err != nil {

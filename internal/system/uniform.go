@@ -35,10 +35,12 @@ const uniformMaxK = 64
 // infeasibility) do not disqualify a system.
 //
 // It runs once per sweep candidate: callers holding the proof pass u
-// on (cost.Engine.REUniform, nre.Engine.EvaluateUniform) rather than
-// proving it again. Each chiplet's module area is read once, and the
-// O(k²) name-distinctness check rejects on the last byte first, where
-// PartitionEqual's names ("…-chiplet-1", "…-chiplet-2") differ.
+// on (the evaluator's uniform-shape table, keyed by u's node, K and
+// areas plus the scheme and flow; on a failure, cost.Engine.REUniform
+// and nre.Engine.EvaluateUniform) rather than proving it again. Each
+// chiplet's module area is read once, and the O(k²) name-distinctness
+// check rejects on the last byte first, where PartitionEqual's names
+// ("…-chiplet-1", "…-chiplet-2") differ.
 func AsUniform(s System) (Uniform, bool) {
 	if s.Name == "" || s.Envelope != nil {
 		return Uniform{}, false
@@ -94,6 +96,17 @@ func AsUniform(s System) (Uniform, bool) {
 		}
 	}
 	return u, true
+}
+
+// PackageKey returns the packaging partial key of a uniform system
+// under the given scheme and flow: k dies whose areas sum, in die
+// order, as Assembly.TotalDieArea sums them.
+func (u Uniform) PackageKey(scheme packaging.Scheme, flow packaging.Flow) packaging.PartialKey {
+	var total float64
+	for i := 0; i < u.K; i++ {
+		total += u.DieAreaMM2
+	}
+	return packaging.PartialKey{Scheme: scheme, Flow: flow, Dies: u.K, TotalDieAreaMM2: total}
 }
 
 // sameName reports a == b for non-empty names, comparing the last

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"chipletactuary/internal/yield"
@@ -107,35 +108,56 @@ func (n Node) Validate() error {
 	return nil
 }
 
-// Database is a named collection of nodes.
+// Database is a named collection of nodes. Each node also has an id,
+// its index in the order NewDatabase was given the nodes (Override
+// keeps a replaced node's id and gives a new node the next one), so a
+// memo table can name a node by a small integer instead of a string.
 type Database struct {
-	nodes map[string]Node
+	ids   map[string]int
+	nodes []Node // by id
 }
 
 // NewDatabase builds a database from the given nodes, rejecting
 // duplicates and invalid parameters.
 func NewDatabase(nodes ...Node) (*Database, error) {
-	db := &Database{nodes: make(map[string]Node, len(nodes))}
+	db := &Database{ids: make(map[string]int, len(nodes)), nodes: make([]Node, 0, len(nodes))}
 	for _, n := range nodes {
 		if err := n.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := db.nodes[n.Name]; dup {
+		if _, dup := db.ids[n.Name]; dup {
 			return nil, fmt.Errorf("tech: duplicate node %q", n.Name)
 		}
-		db.nodes[n.Name] = n
+		db.ids[n.Name] = len(db.nodes)
+		db.nodes = append(db.nodes, n)
 	}
 	return db, nil
 }
 
 // Node looks a node up by name.
 func (db *Database) Node(name string) (Node, error) {
-	n, ok := db.nodes[name]
-	if !ok {
-		return Node{}, fmt.Errorf("tech: %w %q (have %v)", ErrUnknownNode, name, db.Names())
+	id, err := db.NodeID(name)
+	if err != nil {
+		return Node{}, err
 	}
-	return n, nil
+	return db.nodes[id], nil
 }
+
+// NodeID returns the id of the named node, or Node's error when the
+// database has no such node.
+func (db *Database) NodeID(name string) (int, error) {
+	id, ok := db.ids[name]
+	if !ok {
+		return 0, fmt.Errorf("tech: %w %q (have %v)", ErrUnknownNode, name, db.Names())
+	}
+	return id, nil
+}
+
+// NodeByID returns the node with the given id, 0 ≤ id < Len().
+func (db *Database) NodeByID(id int) Node { return db.nodes[id] }
+
+// Len returns the number of nodes; their ids are 0 … Len()-1.
+func (db *Database) Len() int { return len(db.nodes) }
 
 // MustNode is Node for static names known to exist; it panics on a
 // missing node, which indicates a programming error, not user input.
@@ -150,24 +172,30 @@ func (db *Database) MustNode(name string) Node {
 // Names returns the node names in sorted order.
 func (db *Database) Names() []string {
 	names := make([]string, 0, len(db.nodes))
-	for name := range db.nodes {
-		names = append(names, name)
+	for _, n := range db.nodes {
+		names = append(names, n.Name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Override returns a new database in which the named node is replaced.
-// The original database is unchanged.
+// Override returns a new database in which the named node is replaced
+// (keeping its id) or, when the database has no node of that name,
+// added. The original database is unchanged.
 func (db *Database) Override(n Node) (*Database, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	out := &Database{nodes: make(map[string]Node, len(db.nodes)+1)}
-	for k, v := range db.nodes {
-		out.nodes[k] = v
+	out := &Database{ids: make(map[string]int, len(db.nodes)+1), nodes: slices.Clone(db.nodes)}
+	for name, id := range db.ids {
+		out.ids[name] = id
 	}
-	out.nodes[n.Name] = n
+	if id, ok := out.ids[n.Name]; ok {
+		out.nodes[id] = n
+	} else {
+		out.ids[n.Name] = len(out.nodes)
+		out.nodes = append(out.nodes, n)
+	}
 	return out, nil
 }
 
@@ -175,7 +203,7 @@ func (db *Database) Override(n Node) (*Database, error) {
 func (db *Database) WriteJSON(w io.Writer) error {
 	list := make([]Node, 0, len(db.nodes))
 	for _, name := range db.Names() {
-		list = append(list, db.nodes[name])
+		list = append(list, db.nodes[db.ids[name]])
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

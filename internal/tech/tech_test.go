@@ -2,6 +2,7 @@ package tech
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,5 +218,42 @@ func TestInterposerFlag(t *testing.T) {
 		if db.MustNode(name).Interposer {
 			t.Errorf("%s should not be marked as interposer silicon", name)
 		}
+	}
+}
+
+// TestNodeIDs checks that node ids follow NewDatabase's argument order,
+// that Override keeps a replaced node's id and appends a new node, and
+// that the original database is unchanged.
+func TestNodeIDs(t *testing.T) {
+	a, b := Default().MustNode("5nm"), Default().MustNode("7nm")
+	db, err := NewDatabase(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, name := range []string{"5nm", "7nm"} {
+		if id, err := db.NodeID(name); err != nil || id != want || db.NodeByID(id).Name != name {
+			t.Fatalf("NodeID(%q) = %d, %v; want %d", name, id, err, want)
+		}
+	}
+	if _, err := db.NodeID("3nm"); !errors.Is(err, ErrUnknownNode) || db.Len() != 2 {
+		t.Fatalf("NodeID(3nm): %v; Len %d, want 2", err, db.Len())
+	}
+	cheap := b.WithDefectDensity(0.01)
+	c := Default().MustNode("14nm")
+	over, err := db.Override(cheap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over, err = over.Override(c); err != nil {
+		t.Fatal(err)
+	}
+	if id, _ := over.NodeID("7nm"); id != 1 || over.NodeByID(1).DefectDensity != 0.01 {
+		t.Fatalf("replaced 7nm has id %d, D %v", id, over.NodeByID(1).DefectDensity)
+	}
+	if id, _ := over.NodeID("14nm"); id != 2 || over.Len() != 3 {
+		t.Fatalf("added 14nm has id %d of %d", id, over.Len())
+	}
+	if db.Len() != 2 || db.NodeByID(1).DefectDensity != b.DefectDensity {
+		t.Fatal("Override changed the original database")
 	}
 }

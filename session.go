@@ -313,11 +313,12 @@ func WithCacheSize(n int) Option {
 // over.
 const DefaultCacheSize = 4096
 
-// WithPartialsCacheSize bounds the evaluator's partial-result caches
-// (entries, not bytes): the packaging geometry/yield partials shared
-// by the RE and NRE engines, and the NRE uniform-term memo. The
-// default is DefaultPartialsCacheSize; 0 disables partial memoization
-// (the KGD cache is bounded separately by WithCacheSize).
+// WithPartialsCacheSize bounds the evaluator's partial-result tables
+// (entries each, not bytes): the packaging geometry/yield partials
+// shared by the RE and NRE engines, and the uniform-shape table that
+// answers a repeated uniform point (every sweep candidate seen before)
+// with one probe. The default is DefaultPartialsCacheSize; 0 disables
+// both (the KGD cache is bounded separately by WithCacheSize).
 func WithPartialsCacheSize(n int) Option {
 	return func(c *sessionConfig) { c.partialsSize = n; c.hasPartials = true }
 }
@@ -325,8 +326,11 @@ func WithPartialsCacheSize(n int) Option {
 // DefaultPartialsCacheSize is the partials-cache bound used when
 // WithPartialsCacheSize is not given. A sweep touches one packaging
 // partial per distinct (scheme, flow, die count, total area) tuple and
-// one NRE entry per distinct (node, scheme, geometry) tuple, so 8192
-// holds every partial of the paper's sweep workloads at once.
+// one shape entry per distinct (node, scheme, flow, count, area)
+// tuple, so 8192 holds every partial and shape of the paper's sweep
+// workloads at once. Both tables are preallocated at this size and
+// hold no pointer: 1.5 MiB for the partials and 1.38 MiB (160 bytes an
+// entry) for the shapes.
 const DefaultPartialsCacheSize = explore.DefaultPartialsCacheSize
 
 // PartialsStats reports the partial-result caches' counters (see
@@ -431,11 +435,13 @@ func (s *Session) Evaluator() *explore.Evaluator { return s.ev }
 // CacheStats reports the shared KGD cache's hit/miss counters.
 func (s *Session) CacheStats() KGDCacheStats { return s.ev.Cost.CacheStats() }
 
-// PartialsCacheStats reports the partial-result caches' hit/miss
+// PartialsCacheStats reports the partial-result tables' hit/miss
 // counters: the packaging geometry/yield partials shared by the RE and
-// NRE engines, and the NRE uniform-term memo. On sweep workloads the
-// hit rates should sit near 1 — a low rate means the working set
-// outgrew WithPartialsCacheSize.
+// NRE engines, and in NRE the uniform-shape table. A shape hit answers
+// its point whole, so the packaging counters (and CacheStats) count
+// only the probes the shape table did not answer. On sweep workloads
+// the shape hit rate should sit near 1 — a low rate means the working
+// set outgrew WithPartialsCacheSize.
 func (s *Session) PartialsCacheStats() PartialsStats { return s.ev.PartialsCacheStats() }
 
 // Evaluate answers a batch of requests, fanning them out over the
