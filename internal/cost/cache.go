@@ -68,10 +68,10 @@ func newKGDCache(max int, db *tech.Database) *kgdCache {
 }
 
 // dieKeyHash returns the KGD table's hash for db's nodes: inline FNV-1a
-// over the node name — precomputed per node id — and the area bits.
-// The shard choice only has to spread load, and a seeded hash here
-// would cost as much as a cache miss. The memo table mixes it again for
-// its index, so weak low bits do not lengthen probes. The salvage
+// over the node name — precomputed per node id — and the area bits. A
+// seeded hash here would cost as much as a cache miss; the memo table
+// mixes this one before picking a shard and an index position, so weak
+// low bits neither crowd a shard nor lengthen probes. The salvage
 // fields are left out — the shard compares whole keys on a tag match.
 func dieKeyHash(db *tech.Database) func(dieKey) uint64 {
 	names := make([]uint64, db.Len())

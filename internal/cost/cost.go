@@ -208,9 +208,10 @@ func (e *Engine) Wafers(s system.System, quantity float64) (WaferDemand, error) 
 //
 // The boolean is false when no sound bound is available: a shape the
 // uniform detector cannot prove (salvage, envelopes, mixed dies), an
-// unknown node, or a pathological tech database pricing a die below
-// zero. Callers must treat false as "cannot prune", never as an error
-// — the evaluation path owns error reporting.
+// unknown node, or a die priced below zero or at NaN (defensive: node
+// validation rejects the negative and non-finite parameters that could
+// price one). Callers must treat false as "cannot prune", never as an
+// error — the evaluation path owns error reporting.
 func (e *Engine) REFloor(s system.System) (float64, bool) {
 	u, ok := system.AsUniform(s)
 	if !ok {
@@ -305,10 +306,10 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 		return Breakdown{}, err
 	}
 	if !(dc.KGD >= 0) {
-		// A pathological tech database (a NaN cost, which node
-		// validation admits) can price a die at NaN; the general path
-		// owns that case (and would reject a KGD below zero in
-		// assembly validation), so let it.
+		// Node validation rejects negative and non-finite parameters,
+		// so a validated database cannot price a die below zero or at
+		// NaN. Should one, the general path owns that case (it rejects
+		// a KGD below zero in assembly validation), so let it.
 		return e.reSlow(s)
 	}
 	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, u.PackageKey(s.Scheme, s.Flow))
@@ -322,9 +323,9 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 // on the node with database id id, with one KGD probe, as REUniform
 // does. A die priced at a KGD of zero or more books that probe as the
 // per-die walk's k probes: its outcome plus k−1 hits. Any other
-// outcome (an error, a KGD below zero or NaN) books nothing; REUniform
-// then reports the error or takes the general walk, which books its
-// own probes.
+// outcome (an error, or a KGD below zero or NaN, which a validated
+// database cannot produce) books nothing; REUniform then reports the
+// error or takes the general walk, which books its own probes.
 func (e *Engine) UniformDie(s system.System, u system.Uniform, id int) (DieCost, error) {
 	var tally cacheTally
 	dc, err := e.dieCostAt(s.Placements[0].Chiplet, id, u.DieAreaMM2, &tally)
@@ -366,25 +367,47 @@ func UniformBreakdown(s system.System, u system.Uniform, raw, yield float64, pt 
 	return b
 }
 
-// reSlow is the general per-placement walk. It prices every die in
-// die order, then checks the assembly as packaging.Package would and
-// prices the package from the (shared, possibly nil) partial cache, so
-// a system whose NRE geometry probe already priced its package finds
-// it there.
+// reSlow is the general per-placement walk on a system it validates
+// first. It checks the assembly as packaging.Package would and prices
+// the package from the (shared, possibly nil) partial cache, so a
+// system whose NRE geometry probe already priced its package finds it
+// there.
 func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 	if err := s.Validate(e.db); err != nil {
 		return Breakdown{}, err
 	}
+	return e.placements(&s, nil)
+}
+
+// REPackaged is RE for a system that has passed System.Validate and
+// whose package prices as pt: what nre.Engine.PerUnitPackaged hands on
+// once its portfolio walk has validated every member and priced its
+// package. It skips the validation, the uniform proof and the partial
+// probe RE would repeat, and answers bit for bit as RE does, with the
+// same errors and the same KGD counters.
+func (e *Engine) REPackaged(s system.System, pt *packaging.Partial) (Breakdown, error) {
+	return e.placements(&s, pt)
+}
+
+// placements is the general per-placement walk behind reSlow and
+// REPackaged. It prices each placement's die once and books the other
+// Count−1 copies as the KGD hits a per-die walk would make, lays out
+// every die in die order, checks the dies' KGD costs as
+// packaging.Package would, and applies the package partial: pt when
+// the caller has priced it (and so checked the dies' areas and count),
+// otherwise one probe of the partial cache after those checks.
+func (e *Engine) placements(s *system.System, pt *packaging.Partial) (Breakdown, error) {
 	b := Breakdown{Dies: make([]DieCost, 0, s.DieCount())}
 	var tally cacheTally
 	var totalArea, totalKGD float64
-	for _, p := range s.Placements {
-		area := p.Chiplet.DieArea()
+	for i := range s.Placements {
+		p := &s.Placements[i]
+		dc, err := e.dieCost(p.Chiplet, p.Chiplet.DieArea(), &tally)
+		if err != nil {
+			return Breakdown{}, err
+		}
+		tally.hits += int64(p.Count - 1)
 		for n := 0; n < p.Count; n++ {
-			dc, err := e.dieCost(p.Chiplet, area, &tally)
-			if err != nil {
-				return Breakdown{}, err
-			}
 			b.Dies = append(b.Dies, dc)
 			b.RawChips += dc.Raw
 			b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
@@ -394,17 +417,20 @@ func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 	}
 	e.cache.Note(tally.hits, tally.misses)
 
-	for i, dc := range b.Dies {
-		if err := packaging.CheckDie(i, dc.AreaMM2, dc.KGD); err != nil {
+	for i := range b.Dies {
+		if err := packaging.CheckDie(i, b.Dies[i].AreaMM2, b.Dies[i].KGD); err != nil {
 			return Breakdown{}, err
 		}
 	}
-	if err := packaging.CheckDieCount(s.Scheme, len(b.Dies)); err != nil {
-		return Breakdown{}, err
-	}
-	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, s.PackageKey(len(b.Dies), totalArea))
-	if err != nil {
-		return Breakdown{}, err
+	if pt == nil {
+		if err := packaging.CheckDieCount(s.Scheme, len(b.Dies)); err != nil {
+			return Breakdown{}, err
+		}
+		probed, err := packaging.CachedPartial(e.partials, e.params, e.db, s.PackageKey(len(b.Dies), totalArea))
+		if err != nil {
+			return Breakdown{}, err
+		}
+		pt = &probed
 	}
 	pkg := pt.Apply(totalKGD)
 	b.Packaging = pkg

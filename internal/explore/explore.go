@@ -142,7 +142,7 @@ func (t TotalCost) NREShare() float64 {
 // (an error case) takes the step path — NRE.EvaluateUniform, then
 // Cost.REUniform — which reports the error exactly, including its
 // order: like Portfolio, NRE validation errors surface before RE ones.
-// Any other shape is priced as a one-member Portfolio.
+// Any other shape is priced as a one-member Portfolio, in one pass.
 func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error) {
 	if u, ok := system.AsUniform(s); ok {
 		if tc, ok := e.singleShape(s, u, policy); ok {
@@ -158,11 +158,12 @@ func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error
 		}
 		return TotalCost{RE: re, NRE: nb}, nil
 	}
-	nres, err := e.NRE.PerUnit([]system.System{s}, policy)
+	var pkg [1]packaging.Partial
+	nres, err := e.NRE.PerUnitPackaged([]system.System{s}, policy, pkg[:])
 	if err != nil {
 		return TotalCost{}, err
 	}
-	re, err := e.Cost.RE(s)
+	re, err := e.Cost.REPackaged(s, &pkg[0])
 	if err != nil {
 		return TotalCost{}, err
 	}
@@ -170,21 +171,40 @@ func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error
 }
 
 // Portfolio evaluates a family of systems that share designs, keyed by
-// system name. Each system's NRE geometry probe and its RE evaluation
-// price its package once, through the evaluator's shared partial
-// cache.
+// system name, in one pass: the NRE design-table walk validates every
+// member and prices its package once, through the evaluator's shared
+// partial cache, and hands each package partial to the member's RE
+// walk, which neither validates nor probes again. Results and errors
+// are bit for bit those of NRE.Portfolio followed by Cost.RE on each
+// member in order.
 func (e *Evaluator) Portfolio(systems []system.System, policy nre.Policy) (map[string]TotalCost, error) {
-	nres, err := e.NRE.PerUnit(systems, policy)
+	// The partials live on the stack up to 64 members, in a buffer
+	// sized to the portfolio, so a small portfolio zeroes little.
+	switch n := len(systems); {
+	case n <= 4:
+		var buf [4]packaging.Partial
+		return e.portfolio(systems, policy, buf[:n])
+	case n <= 64:
+		var buf [64]packaging.Partial
+		return e.portfolio(systems, policy, buf[:n])
+	default:
+		return e.portfolio(systems, policy, make([]packaging.Partial, n))
+	}
+}
+
+// portfolio is Portfolio with room for each member's package partial.
+func (e *Evaluator) portfolio(systems []system.System, policy nre.Policy, pkgs []packaging.Partial) (map[string]TotalCost, error) {
+	nres, err := e.NRE.PerUnitPackaged(systems, policy, pkgs)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]TotalCost, len(systems))
-	for i, s := range systems {
-		re, err := e.Cost.RE(s)
+	for i := range systems {
+		re, err := e.Cost.REPackaged(systems[i], &pkgs[i])
 		if err != nil {
 			return nil, err
 		}
-		out[s.Name] = TotalCost{RE: re, NRE: nres[i]}
+		out[systems[i].Name] = TotalCost{RE: re, NRE: nres[i]}
 	}
 	return out, nil
 }

@@ -44,8 +44,8 @@ func newShapeCache(max int, db *tech.Database) *shapeCache {
 
 // shapeKeyHash returns the shape table's hash for db's nodes: FNV-1a
 // over the node name — precomputed per node id — then the scheme, flow
-// and width word and the two area words, as the NRE uniform-term table
-// it replaced hashed its keys, so each shape lands in the same shard.
+// and width word and the two area words. The memo table mixes it before
+// picking a shard and an index position.
 func shapeKeyHash(db *tech.Database) func(shapeKey) uint64 {
 	names := make([]uint64, db.Len())
 	for id := range names {
@@ -102,6 +102,8 @@ func (e *Evaluator) priceShape(s system.System, u system.Uniform, id int) shapeE
 		return shapeEntry{fails: true}
 	}
 	dc, err := e.Cost.UniformDie(s, u, id)
+	// A validated database cannot price a die below zero or at NaN; the
+	// check stays as a defense, sending such a shape to the step path.
 	if err != nil || !(dc.KGD >= 0) {
 		return shapeEntry{fails: true}
 	}

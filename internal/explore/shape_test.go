@@ -12,6 +12,7 @@ import (
 	"chipletactuary/internal/memo/memotest"
 	"chipletactuary/internal/nre"
 	"chipletactuary/internal/packaging"
+	"chipletactuary/internal/sweep"
 	"chipletactuary/internal/system"
 	"chipletactuary/internal/tech"
 )
@@ -30,25 +31,23 @@ type shapeWorld struct {
 }
 
 // shapeWorlds covers the shape path's error cases besides quantity: an
-// unknown node and infeasible packages (default world), dies larger
-// than the wafer (packages big enough to hold them), and a die that
-// prices to NaN, which REUniform hands to the general walk. Node
-// validation rejects negative costs but admits a NaN wafer cost, so
-// the NaN node is how a database reaches that fallback.
+// unknown node and infeasible packages (default world), and dies larger
+// than the wafer (packages big enough to hold them). A die priced to
+// NaN, which REUniform would hand to the general walk, needs a NaN node
+// parameter, and node validation rejects one: shapeWorlds checks that
+// Override refuses the NaN wafer cost such a world would need.
 func shapeWorlds(t *testing.T) []shapeWorld {
 	t.Helper()
 	big := packaging.DefaultParams()
 	big.MaxSubstrateMM2, big.MaxInterposerMM2 = 1e9, 1e9
 	nan := tech.Default().MustNode("7nm")
 	nan.Name, nan.WaferCost = "7nm-nan", math.NaN()
-	nanDB, err := tech.Default().Override(nan)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := tech.Default().Override(nan); err == nil || !strings.Contains(err.Error(), "wafer_cost") {
+		t.Fatalf("Override of a NaN wafer cost: %v, want an error naming wafer_cost", err)
 	}
 	return []shapeWorld{
 		{"default", tech.Default(), packaging.DefaultParams(), []string{"5nm", "7nm", "14nm", "28nm", "no-such-node"}},
 		{"big packages", tech.Default(), big, []string{"5nm", "28nm"}},
-		{"NaN wafer cost", nanDB, packaging.DefaultParams(), []string{"7nm-nan", "7nm"}},
 	}
 }
 
@@ -144,8 +143,7 @@ func TestShapeTableMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []string{"default priced", "default error", "big packages priced", "big packages error",
-		"NaN wafer cost NaN", "NaN wafer cost priced"} {
+	for _, k := range []string{"default priced", "default error", "big packages priced", "big packages error"} {
 		if kinds[k] == 0 {
 			t.Errorf("no draw was %s: %v", k, kinds)
 		}
@@ -153,9 +151,9 @@ func TestShapeTableMatchesReference(t *testing.T) {
 	t.Logf("outcomes: %v", kinds)
 }
 
-// TestShapeTableErrorCases pins the four error shapes the step path
-// reports for the shape table — unknown node, infeasible package, a die
-// larger than the wafer and a NaN-cost die — cold and warm, against the
+// TestShapeTableErrorCases pins the error shapes the step path reports
+// for the shape table — unknown node, unknown scheme, infeasible
+// package and a die larger than the wafer — cold and warm, against the
 // one-member Portfolio.
 func TestShapeTableErrorCases(t *testing.T) {
 	worlds := shapeWorlds(t)
@@ -165,7 +163,7 @@ func TestShapeTableErrorCases(t *testing.T) {
 		area   float64
 		k      int
 		scheme packaging.Scheme
-		want   string // substring of the error; "" for a NaN answer
+		want   string // substring of the error
 	}{
 		{0, "no-such-node", 400, 4, packaging.MCM, "unknown node"},
 		// Past the key's scheme byte: must not alias the MCM shape
@@ -173,7 +171,6 @@ func TestShapeTableErrorCases(t *testing.T) {
 		{0, "5nm", 400, 4, packaging.Scheme(257), "unknown scheme"},
 		{0, "5nm", 3000, 2, packaging.TwoPointFiveD, "interposer"},
 		{1, "5nm", 250_000, 1, packaging.MCM, "fits"},
-		{2, "7nm-nan", 400, 4, packaging.InFO, ""},
 	}
 	evs := map[int]*Evaluator{}
 	for _, c := range cases {
@@ -209,10 +206,7 @@ func TestShapeTableErrorCases(t *testing.T) {
 			if got := outcome(tc, err); got != want {
 				t.Fatalf("%s/%s pass %d:\n got %s\nwant %s", w.name, c.node, pass, got, want)
 			}
-			switch {
-			case c.want == "" && (err != nil || !math.IsNaN(tc.Total())):
-				t.Fatalf("%s/%s: %v, %v; want a NaN answer", w.name, c.node, tc.Total(), err)
-			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%s/%s: error %v, want one containing %q", w.name, c.node, err, c.want)
 			}
 		}
@@ -347,6 +341,47 @@ func TestShapeHashFoldsNodeName(t *testing.T) {
 					t.Fatalf("%s %v k=%d: hash %#x, want %#x", name, scheme, k, got, h)
 				}
 			}
+		}
+	}
+}
+
+// TestShapeTableHoldsStreamGrid prices the 4488-point grid of the
+// root package's BenchmarkSessionStreamSweep (5nm, MCM, 100–800 mm² in
+// 1.25 mm² steps, 1–8 chiplets) twice on a default-sized table. Its
+// 4488 shapes fit 8192 entries only if no shard of 512 receives more
+// than its share, so the first pass must miss once per shape and evict
+// nothing, and the second must hit every shape.
+func TestShapeTableHoldsStreamGrid(t *testing.T) {
+	areas, err := sweep.AreaRange(100, 800, 1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := sweep.CountRange(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := sweep.Grid{Name: "bench", Nodes: []string{"5nm"}, Schemes: []packaging.Scheme{packaging.MCM},
+		AreasMM2: areas, Counts: counts, Quantities: []float64{1_000_000}, D2D: dtod.Fraction{F: 0.10}}
+	ev, err := NewEvaluatorWithCaches(tech.Default(), packaging.DefaultParams(), 4096, DefaultPartialsCacheSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const points = 4488
+	for pass := 1; pass <= 2; pass++ {
+		gen, n := grid.Points(), 0
+		for p, ok := gen.Next(); ok; p, ok = gen.Next() {
+			if _, err := ev.Single(p.System, nre.PerSystemUnit); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		if n != points {
+			t.Fatalf("pass %d priced %d points, want %d", pass, n, points)
+		}
+		st := ev.PartialsCacheStats().NRE
+		if st.Entries != points || st.Misses != points || st.Hits != int64(points*(pass-1)) {
+			t.Fatalf("pass %d: shape table %+v, want %d entries, %d misses and %d hits",
+				pass, st, points, points, points*(pass-1))
 		}
 	}
 }

@@ -1,25 +1,26 @@
 // Package memo provides a small, bounded, shard-safe cache for
 // memoizing pure computations on the sweep hot path.
 //
-// The cache is generic over comparable keys and splits them over 16
-// shards by the caller's hash. Each shard is a fixed-footprint table
-// allocated once by New:
+// The cache is generic over comparable keys. It runs the caller's hash
+// through a 64-bit finalizer once per operation and splits the keys
+// over 16 shards by the top bits of the result. Each shard is a
+// fixed-footprint table allocated once by New:
 //
 //   - a ring of perMax entries {hash, key, value} in insertion order,
 //     which is also the FIFO eviction order, and
 //   - an open-addressed index of at least 2×perMax words, a power of
 //     two, probed linearly. A word is tag<<32 | slot+1, zero when the
-//     word is free. The tag is the low 32 bits of a 64-bit finalizer
-//     of the caller's hash; its low bits are the word's home position.
-//     A probe rejects most non-matching keys without touching the
-//     ring.
+//     word is free. The tag is the low 32 bits of the finalized hash;
+//     its low bits are the word's home position. A probe rejects most
+//     non-matching keys without touching the ring.
 //
 // Evicting the oldest entry removes its index word by backward-shift
 // deletion, so a shard never leaves a tombstone, never grows and never
 // allocates after New: the memory a cache holds is fixed at
 // construction, however many keys stream through it. The finalizer
 // matters because cheap one-multiply hashes leave the low bits nearly
-// constant for integer or dyadic float fields.
+// constant for integer or dyadic float fields: taken raw, they would
+// crowd a few shards and lengthen probes.
 //
 // Every operation holds its shard's mutex for a few index probes and
 // one entry copy. A plain mutex, not a read-write lock: on a
@@ -38,7 +39,11 @@ import (
 	"sync/atomic"
 )
 
-const shardCount = 16
+// shardBits is the number of top bits of the finalized hash that pick a
+// key's shard.
+const shardBits = 4
+
+const shardCount = 1 << shardBits
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
@@ -106,8 +111,8 @@ const HashPrime = 1099511628211
 
 // HashString is FNV-1a over s's bytes. A table keyed by a small
 // integer that stands for a string (a node id) starts each key's hash
-// from HashString of that string, precomputed once per integer, so
-// its shard choice is that of a key holding the string itself.
+// from HashString of that string, precomputed once per integer, so the
+// key hashes as a key holding the string itself would.
 func HashString(s string) uint64 {
 	h := uint64(1469598103934665603) // FNV-1a's 64-bit offset basis
 	for i := 0; i < len(s); i++ {
@@ -128,11 +133,16 @@ func mix(h uint64) uint64 {
 	return h
 }
 
-// locate hashes k once, picking its shard from the caller's hash and
-// its index position and tag from the mixed hash.
+// shardOf returns the shard of a key whose finalized hash is h: its top
+// bits, which the index position and the tag, taken from the low bits,
+// do not use.
+func shardOf(h uint64) uint64 { return h >> (64 - shardBits) }
+
+// locate hashes k once, picking its shard, index position and tag from
+// the mixed hash.
 func (c *Cache[K, V]) locate(k K) (*shard[K, V], uint64) {
-	h := c.hash(k)
-	return &c.shards[h%shardCount], mix(h)
+	h := mix(c.hash(k))
+	return &c.shards[shardOf(h)], h
 }
 
 // find returns the ring slot holding k, or -1. The index always has a

@@ -113,8 +113,8 @@ func TestConcurrent(t *testing.T) {
 
 // refCache is the map-backed shard design the ring-and-index table
 // replaced, kept as the reference model for the differential test:
-// same shard choice, FIFO order and first-write-wins, with a Go map
-// per shard.
+// same shard choice (the top bits of the mixed hash), FIFO order and
+// first-write-wins, with a Go map per shard.
 type refCache[K comparable, V any] struct {
 	shards [shardCount]struct {
 		m     map[K]V
@@ -136,7 +136,7 @@ func newRef[K comparable, V any](max int, hash func(K) uint64) *refCache[K, V] {
 }
 
 func (c *refCache[K, V]) Peek(k K) (V, bool) {
-	v, ok := c.shards[c.hash(k)%shardCount].m[k]
+	v, ok := c.shards[shardOf(mix(c.hash(k)))].m[k]
 	return v, ok
 }
 
@@ -151,7 +151,7 @@ func (c *refCache[K, V]) Get(k K) (V, bool) {
 }
 
 func (c *refCache[K, V]) Put(k K, v V) {
-	sh := &c.shards[c.hash(k)%shardCount]
+	sh := &c.shards[shardOf(mix(c.hash(k)))]
 	if _, dup := sh.m[k]; dup {
 		return
 	}
@@ -361,11 +361,16 @@ func TestHeapBounded(t *testing.T) {
 // TestStructuredHashProbeLength fills a shard with keys whose hashes
 // differ only above bit 32 — the pattern that left raw low bits empty
 // — and bounds the mean probe length the mixed index position gives.
+// The keys are the first 512 whose mixed hash picks shard 0.
 func TestStructuredHashProbeLength(t *testing.T) {
 	const max = 16 * 512
-	c := New[uint64, int](max, func(k uint64) uint64 { return k << 32 })
-	for i := uint64(0); i < 512; i++ {
-		c.Put(i, int(i))
+	hash := func(k uint64) uint64 { return k << 32 }
+	c := New[uint64, int](max, hash)
+	for i, n := uint64(0), 0; n < 512; i++ {
+		if shardOf(mix(hash(i))) == 0 {
+			c.Put(i, int(i))
+			n++
+		}
 	}
 	sh := &c.shards[0]
 	if sh.n != 512 {

@@ -16,6 +16,7 @@ package nre
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
 
@@ -149,7 +150,7 @@ func (e *Engine) Single(s system.System, policy Policy) (Result, error) {
 // de-duplicating shared designs and amortizing each design over the
 // production that consumes it.
 func (e *Engine) Portfolio(systems []system.System, policy Policy) (Result, error) {
-	rows, per, err := e.table(systems, policy)
+	rows, per, err := e.table(systems, policy, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -182,7 +183,22 @@ func (e *Engine) Portfolio(systems []system.System, policy Policy) (Result, erro
 // order: out[i] is Portfolio(systems, policy).PerUnit[systems[i].Name],
 // with the same errors, but without the Result's maps and design list.
 func (e *Engine) PerUnit(systems []system.System, policy Policy) ([]Breakdown, error) {
-	_, per, err := e.table(systems, policy)
+	_, per, err := e.table(systems, policy, nil)
+	return per, err
+}
+
+// PerUnitPackaged is PerUnit that also hands back the package partial
+// the walk priced for each system in pkgs[i], len(pkgs) == len(systems).
+// When it returns no error, every system has passed System.Validate and
+// its package prices as pkgs[i], so a caller pricing RE next can pass
+// both on (cost.Engine.REPackaged) instead of validating and probing
+// again. On an error, pkgs holds partials for a prefix of the systems
+// at most.
+func (e *Engine) PerUnitPackaged(systems []system.System, policy Policy, pkgs []packaging.Partial) ([]Breakdown, error) {
+	if len(pkgs) != len(systems) {
+		return nil, fmt.Errorf("nre: %d package slots for %d systems", len(pkgs), len(systems))
+	}
+	_, per, err := e.table(systems, policy, pkgs)
 	return per, err
 }
 
@@ -229,6 +245,53 @@ func (k *designKey) compare(o *designKey) int {
 	}
 }
 
+// same reports whether k and o name one design, that is whether their
+// key strings are equal: compare(o) == 0, without ordering. Keys that
+// differ field by field may still join to one string (module "A" on
+// node "7nm/x" and module "x/A" on node "7nm").
+func (k *designKey) same(o *designKey) bool {
+	if k.kind != o.kind {
+		return false
+	}
+	switch k.kind {
+	case ModuleDesign:
+		if k.node == o.node {
+			return k.name == o.name
+		}
+		return len(k.node)+len(k.name) == len(o.node)+len(o.name) && compareJoined(k.node, k.name, o.node, o.name) == 0
+	case D2DDesign:
+		return k.node == o.node
+	default:
+		return k.name == o.name
+	}
+}
+
+// hashSeed seeds the design table's hash. The table's output does not
+// depend on hash values, only on which keys are equal.
+var hashSeed = maphash.MakeSeed()
+
+// hash hashes the key's string form without building it, from its
+// kind, its length and its last segment, the bytes after its last
+// slash. All three are functions of the string alone, so keys whose
+// strings are equal hash equally however a module key splits its
+// string between node and name.
+func (k *designKey) hash() uint64 {
+	// The string is the kind's prefix, which ends in a slash, then
+	// node+"/"+name for a module, the node for a D2D design and the
+	// name otherwise.
+	last, n := k.name, len(k.node)+1+len(k.name)
+	switch k.kind {
+	case D2DDesign:
+		last, n = k.node, len(k.node)
+	case ChipDesign, PackageDesign:
+		n = len(k.name)
+	}
+	if i := strings.LastIndexByte(last, '/'); i >= 0 {
+		last = last[i+1:]
+	}
+	return maphash.String(hashSeed, last) ^ (uint64(n)<<2|uint64(k.kind))*0x9e3779b97f4a7c15
+}
+
 // compareJoined compares a1+"/"+a2 with b1+"/"+b2 without building
 // either. A node name may be a prefix of another ("7nm" of "7nm-lp",
 // so "7nm-lp/x" < "7nm/x") or contain a slash itself, so unequal
@@ -260,10 +323,10 @@ func joinedAt(x, y string, i int) byte {
 
 // row is one entry of a portfolio's design table: system sys mounts
 // inst copies of the design key, which costs cost, claimed at walk
-// step step. The walk appends one row per claim; table sorts the rows
-// by key and folds each system's claims on a design into one row, so
-// a design is a run of rows, one per consuming system in portfolio
-// order, whose first row has head set.
+// step step. The walk appends one row per claim; fold groups the rows
+// by design, orders the designs by key and folds each system's claims
+// on a design into one row, so a design is a run of rows, one per
+// consuming system in portfolio order, whose first row has head set.
 type row struct {
 	key  designKey
 	cost float64
@@ -284,10 +347,12 @@ func designEnd(rows []row, lo int) int {
 
 // table validates the portfolio, builds its design table and amortizes
 // every design over the systems that consume it; per[i] is the
-// per-unit NRE of systems[i]. Errors surface in the order of a walk
-// over the systems (validation first, then each placement's designs
-// and each package in turn), and amortization errors in key order.
-func (e *Engine) table(systems []system.System, policy Policy) (rows []row, per []Breakdown, err error) {
+// per-unit NRE of systems[i], and pkgs[i], unless pkgs is nil, receives
+// the package partial the walk priced for it. Errors surface in the
+// order of a walk over the systems (validation first, then each
+// placement's designs and each package in turn), and amortization
+// errors in key order.
+func (e *Engine) table(systems []system.System, policy Policy, pkgs []packaging.Partial) (rows []row, per []Breakdown, err error) {
 	if len(systems) == 0 {
 		return nil, nil, fmt.Errorf("nre: empty portfolio")
 	}
@@ -300,7 +365,7 @@ func (e *Engine) table(systems []system.System, policy Policy) (rows []row, per 
 			return nil, nil, fmt.Errorf("nre: duplicate system name %q", systems[i].Name)
 		}
 	}
-	rows, walkErr := e.walk(systems)
+	rows, walkErr := e.walkPackaged(systems, pkgs)
 	// The walk stops at its first error, so a conflicting claim among
 	// the rows it made came before that error and wins.
 	if rows, err = fold(rows); err != nil {
@@ -318,11 +383,15 @@ func (e *Engine) table(systems []system.System, policy Policy) (rows []row, per 
 
 // walk claims every design the portfolio uses, one row per claim in
 // walk order, and stops at the first error.
-func (e *Engine) walk(systems []system.System) ([]row, error) {
+func (e *Engine) walk(systems []system.System) ([]row, error) { return e.walkPackaged(systems, nil) }
+
+// walkPackaged is walk that also stores each system's package partial
+// in pkgs[i], unless pkgs is nil.
+func (e *Engine) walkPackaged(systems []system.System, pkgs []packaging.Partial) ([]row, error) {
 	n := 0
 	for i := range systems {
-		for _, p := range systems[i].Placements {
-			n += len(p.Chiplet.Modules) + 2
+		for j := range systems[i].Placements {
+			n += len(systems[i].Placements[j].Chiplet.Modules) + 2
 		}
 		n++
 	}
@@ -333,7 +402,8 @@ func (e *Engine) walk(systems []system.System) ([]row, error) {
 	for i := range systems {
 		s := &systems[i]
 		// Module and chip designs, Eq. (6)/(8).
-		for _, p := range s.Placements {
+		for j := range s.Placements {
+			p := &s.Placements[j]
 			c := &p.Chiplet
 			node, err := e.db.Node(c.Node)
 			if err != nil {
@@ -349,65 +419,132 @@ func (e *Engine) walk(systems []system.System) ([]row, error) {
 			}
 		}
 		// Package design, Eq. (7)/(8).
-		geom, err := e.packageGeometry(s)
+		pt, err := e.packagePartial(s)
 		if err != nil {
 			return rows, err
 		}
+		if pkgs != nil {
+			pkgs[i] = pt
+		}
 		kp, fixed := s.Scheme.NREFactors()
-		claim(PackageDesign, "", s.PackageName(), kp*geom+fixed, i, 1)
+		claim(PackageDesign, "", s.PackageName(), kp*(pt.Result.SubstrateAreaMM2+pt.Result.InterposerAreaMM2)+fixed, i, 1)
 	}
 	return rows, nil
 }
 
-// fold sorts the claims by key, claims on one design in walk order,
-// and folds each system's claims on a design into one row, in place.
-// A design costs what its first claim says; the earliest claim at
-// another cost is an error.
+// fold groups the claims by design and folds each system's claims on a
+// design into one row, in place, leaving the designs in key order and
+// each design's claims in walk order. Claims are grouped through a hash
+// index over each key's string form, so only the distinct designs are
+// sorted, and a stable counting pass lays the rows out. A design costs
+// what its first claim says; the earliest claim at another cost is an
+// error.
 func fold(rows []row) ([]row, error) {
-	// Sort a permutation, then move each row once: a row is ten words,
-	// too wide to shuffle through a sort. Up to 512 claims, the
-	// permutation lives on the stack.
-	var buf [512]int32
-	perm := buf[:0]
-	if len(rows) > len(buf) {
-		perm = make([]int32, 0, len(rows))
+	n := len(rows)
+	slots := 16
+	for slots < 2*n {
+		slots *= 2
 	}
+	// Scratch sized to the claim count, on the stack up to 512 claims:
+	// a small portfolio zeroes a small buffer.
+	switch need := slots + 3*n; {
+	case need <= 160:
+		var buf [160]int32
+		return foldIn(rows, buf[:need], slots)
+	case need <= 640:
+		var buf [640]int32
+		return foldIn(rows, buf[:need], slots)
+	case need <= 2560:
+		var buf [2560]int32
+		return foldIn(rows, buf[:need], slots)
+	default:
+		return foldIn(rows, make([]int32, need), slots)
+	}
+}
+
+// foldIn is fold on zeroed scratch of slots+3·len(rows) words, slots a
+// power of two of at least 2·len(rows): the hash index, each claim's
+// design and each design's first claim and claim count. Once every
+// claim is grouped, the index words hold the designs' sorted order and
+// then the gather permutation.
+func foldIn(rows []row, scratch []int32, slots int) ([]row, error) {
+	n := len(rows)
+	index := scratch[:slots]
+	design := scratch[slots : slots+n]
+	first := scratch[slots+n : slots+2*n]
+	count := scratch[slots+2*n : slots+3*n]
+	mask := uint64(slots - 1)
+	d := int32(0)
 	for i := range rows {
-		perm = append(perm, int32(i))
-	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := rows[a].key.compare(&rows[b].key); c != 0 {
-			return c
+		k := &rows[i].key
+		for j := k.hash() & mask; ; j = (j + 1) & mask {
+			x := index[j] - 1
+			if x < 0 {
+				index[j] = d + 1
+				first[d], count[d] = int32(i), 1
+				design[i] = d
+				d++
+				break
+			}
+			if rows[first[x]].key.same(k) {
+				design[i] = x
+				count[x]++
+				break
+			}
 		}
-		return cmp.Compare(a, b)
-	})
+	}
+	// d + n ≤ 2n ≤ slots words: the order, then the permutation.
+	order := index[:d]
+	for x := range order {
+		order[x] = int32(x)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return rows[first[a]].key.compare(&rows[first[b]].key) })
+	end := int32(0)
+	for _, x := range order {
+		end, count[x] = end+count[x], end
+	}
+	// count[x] is now design x's first position; the counting pass
+	// leaves it at the design's end.
+	perm := index[d : int(d)+n]
+	for i := range rows {
+		x := design[i]
+		perm[count[x]] = int32(i)
+		count[x]++
+	}
 	permute(rows, perm)
-	conflict := row{step: -1}
-	var conflictPrev float64
-	w := 0
-	for lo := 0; lo < len(rows); {
-		first := rows[lo]
-		hi := lo
-		for ; hi < len(rows) && rows[hi].key.compare(&first.key) == 0; hi++ {
-			r := rows[hi]
-			if hi > lo {
-				if r.cost != first.cost && (conflict.step < 0 || r.step < conflict.step) {
-					conflict, conflictPrev = r, first.cost
+
+	var conflict struct {
+		key        designKey
+		cost, prev float64
+		step       int
+	}
+	conflict.step = -1
+	w, lo := 0, 0
+	for _, x := range order {
+		hi := int(count[x])
+		cost := rows[lo].cost
+		for r := lo; r < hi; r++ {
+			row := &rows[r]
+			if r > lo {
+				if row.cost != cost && (conflict.step < 0 || row.step < conflict.step) {
+					conflict.key, conflict.cost, conflict.prev, conflict.step = row.key, row.cost, cost, row.step
 				}
-				if rows[w-1].sys == r.sys {
-					rows[w-1].inst += r.inst
+				if rows[w-1].sys == row.sys {
+					rows[w-1].inst += row.inst
 					continue
 				}
 			}
-			r.head = hi == lo
-			rows[w] = r
+			if w != r {
+				rows[w] = *row
+			}
+			rows[w].head = r == lo
 			w++
 		}
 		lo = hi
 	}
 	if conflict.step >= 0 {
 		return nil, fmt.Errorf("nre: design %q used with two different costs (%v vs %v): same name must mean same design",
-			conflict.key.String(), conflictPrev, conflict.cost)
+			conflict.key.String(), conflict.prev, conflict.cost)
 	}
 	return rows[:w], nil
 }
@@ -506,18 +643,19 @@ func firstDuplicate(systems []system.System) int {
 // nameScanMax bounds firstDuplicate's pairwise scan.
 const nameScanMax = 64
 
-// packageGeometry returns the NRE-relevant package area: substrate
-// plus interposer. It checks the dies as packaging.Package does for
-// zero KGD costs and reads the geometry from the package's partial,
-// through the partial cache the cost engine shares, so the system's
-// RE evaluation finds its package already priced.
-func (e *Engine) packageGeometry(s *system.System) (float64, error) {
+// packagePartial prices the system's package for its NRE geometry
+// (substrate plus interposer). It checks the dies as packaging.Package
+// does for zero KGD costs and reads the partial through the partial
+// cache the cost engine shares, so a caller pricing the system's RE
+// can reuse it.
+func (e *Engine) packagePartial(s *system.System) (packaging.Partial, error) {
 	n := 0
 	var total float64
-	for _, p := range s.Placements {
+	for j := range s.Placements {
+		p := &s.Placements[j]
 		area := p.Chiplet.DieArea()
 		if err := packaging.CheckDie(n, area, 0); err != nil {
-			return 0, err
+			return packaging.Partial{}, err
 		}
 		for c := 0; c < p.Count; c++ {
 			total += area
@@ -525,11 +663,7 @@ func (e *Engine) packageGeometry(s *system.System) (float64, error) {
 		n += p.Count
 	}
 	if err := packaging.CheckDieCount(s.Scheme, n); err != nil {
-		return 0, err
+		return packaging.Partial{}, err
 	}
-	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, s.PackageKey(n, total))
-	if err != nil {
-		return 0, err
-	}
-	return pt.Result.SubstrateAreaMM2 + pt.Result.InterposerAreaMM2, nil
+	return packaging.CachedPartial(e.partials, e.params, e.db, s.PackageKey(n, total))
 }

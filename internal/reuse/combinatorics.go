@@ -8,8 +8,7 @@ package reuse
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"strconv"
 )
 
 // Choose returns the binomial coefficient C(n, k) as a float64 (the
@@ -69,20 +68,35 @@ func (c Collocation) Size() int {
 
 // Label renders a stable human-readable name such as "T1x2+T3".
 func (c Collocation) Label() string {
-	var parts []string
+	var buf [32]byte
+	b := buf[:0]
 	for t, v := range c.Counts {
-		switch {
-		case v == 1:
-			parts = append(parts, fmt.Sprintf("T%d", t+1))
-		case v > 1:
-			parts = append(parts, fmt.Sprintf("T%dx%d", t+1, v))
+		if v < 1 {
+			continue
+		}
+		if len(b) > 0 {
+			b = append(b, '+')
+		}
+		b = append(b, 'T')
+		b = strconv.AppendInt(b, int64(t+1), 10)
+		if v > 1 {
+			b = append(b, 'x')
+			b = strconv.AppendInt(b, int64(v), 10)
 		}
 	}
-	return strings.Join(parts, "+")
+	return string(b)
 }
 
+// maxCollocationCounts bounds the counts Collocations lays out (types ×
+// collocations): 1<<24 words is far past any package the paper's §5.3
+// considers (6 types in 4 sockets make 209 collocations).
+const maxCollocationCounts = 1 << 24
+
 // Collocations enumerates every multiset of 1..k chiplets drawn from n
-// types, in deterministic order (by size, then lexicographic counts).
+// types, in deterministic order: by size, then by counts in descending
+// lexicographic order, so "T1x2" precedes "T1+T2", which precedes "T2x2".
+// Every collocation's counts are carved from one backing array, each
+// with its capacity equal to its length.
 func Collocations(n, k int) ([]Collocation, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("reuse: need at least one chiplet type, got %d", n)
@@ -90,37 +104,38 @@ func Collocations(n, k int) ([]Collocation, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("reuse: need at least one socket, got %d", k)
 	}
-	var out []Collocation
-	for size := 1; size <= k; size++ {
-		counts := make([]int, n)
-		var rec func(typeIdx, remaining int)
-		rec = func(typeIdx, remaining int) {
-			if typeIdx == n-1 {
-				counts[typeIdx] = remaining
-				cp := make([]int, n)
-				copy(cp, counts)
-				out = append(out, Collocation{Counts: cp})
-				counts[typeIdx] = 0
-				return
-			}
-			for take := 0; take <= remaining; take++ {
-				counts[typeIdx] = take
-				rec(typeIdx+1, remaining-take)
-			}
-			counts[typeIdx] = 0
-		}
-		rec(0, size)
+	count := CollocationCount(n, k)
+	if count*float64(n) > maxCollocationCounts {
+		return nil, fmt.Errorf("reuse: %d chiplet types in %d sockets make %v collocations, too many to enumerate", n, k, count)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Size() != out[j].Size() {
-			return out[i].Size() < out[j].Size()
-		}
-		for t := range out[i].Counts {
-			if out[i].Counts[t] != out[j].Counts[t] {
-				return out[i].Counts[t] > out[j].Counts[t]
+	total := int(count)
+	backing := make([]int, total*n)
+	out := make([]Collocation, 0, total)
+	for size := 1; size <= k; size++ {
+		// The first multiset of a size puts every chiplet on type 0.
+		next := backing[len(out)*n : (len(out)+1)*n : (len(out)+1)*n]
+		next[0] = size
+		for {
+			out = append(out, Collocation{Counts: next})
+			// The successor in descending order takes one chiplet off
+			// the last type j < n−1 that has any and moves it, with
+			// every chiplet after j, onto type j+1.
+			j := n - 2
+			for j >= 0 && next[j] == 0 {
+				j--
+			}
+			if j < 0 {
+				break
+			}
+			prev := next
+			next = backing[len(out)*n : (len(out)+1)*n : (len(out)+1)*n]
+			copy(next[:j], prev[:j])
+			next[j] = prev[j] - 1
+			next[j+1] = 1
+			for t := j + 1; t < n; t++ {
+				next[j+1] += prev[t]
 			}
 		}
-		return false
-	})
+	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package reuse
 
 import (
 	"fmt"
+	"strconv"
 
 	"chipletactuary/internal/dtod"
 	"chipletactuary/internal/packaging"
@@ -71,7 +72,7 @@ func SCMS(cfg SCMSConfig) ([]system.System, error) {
 	out := make([]system.System, 0, len(cfg.Counts))
 	for _, n := range cfg.Counts {
 		out = append(out, system.System{
-			Name:       fmt.Sprintf("%dX-%v", n, cfg.Scheme),
+			Name:       strconv.Itoa(n) + "X-" + cfg.Scheme.String(),
 			Scheme:     cfg.Scheme,
 			Placements: []system.Placement{{Chiplet: chiplet, Count: n}},
 			Quantity:   cfg.QuantityPerSystem,
@@ -219,19 +220,33 @@ func FSMC(cfg FSMCConfig) ([]system.System, error) {
 		d2d = dtod.Fraction{F: 0.10}
 	}
 	chiplets := make([]system.Chiplet, cfg.Types)
+	modules := make([]system.Module, cfg.Types)
 	for t := range chiplets {
+		tn := "T" + strconv.Itoa(t+1)
+		modules[t] = system.Module{Name: tn + "-module", AreaMM2: cfg.ModuleAreaMM2, Scalable: true}
 		chiplets[t] = system.Chiplet{
-			Name:    fmt.Sprintf("T%d-%s", t+1, cfg.Node),
+			Name:    tn + "-" + cfg.Node,
 			Node:    cfg.Node,
-			Modules: []system.Module{{Name: fmt.Sprintf("T%d-module", t+1), AreaMM2: cfg.ModuleAreaMM2, Scalable: true}},
+			Modules: modules[t : t+1 : t+1],
 			D2D:     d2d,
 		}
 	}
-	env := familyEnvelope(fmt.Sprintf("FSMC-%dsocket", cfg.Sockets), cfg.Scheme, cfg.Params,
+	env := familyEnvelope("FSMC-"+strconv.Itoa(cfg.Sockets)+"socket", cfg.Scheme, cfg.Params,
 		float64(cfg.Sockets)*chiplets[0].DieArea())
+	// Every member's placements are carved from one slab, each with its
+	// capacity equal to its length.
+	slab := 0
+	for _, col := range cols {
+		for _, count := range col.Counts {
+			if count > 0 {
+				slab++
+			}
+		}
+	}
+	placements := make([]system.Placement, 0, slab)
 	out := make([]system.System, 0, len(cols))
 	for _, col := range cols {
-		var placements []system.Placement
+		lo := len(placements)
 		for t, count := range col.Counts {
 			if count > 0 {
 				placements = append(placements, system.Placement{Chiplet: chiplets[t], Count: count})
@@ -240,7 +255,7 @@ func FSMC(cfg FSMCConfig) ([]system.System, error) {
 		out = append(out, system.System{
 			Name:       col.Label(),
 			Scheme:     cfg.Scheme,
-			Placements: placements,
+			Placements: placements[lo:len(placements):len(placements)],
 			Quantity:   cfg.QuantityPerSystem,
 			Envelope:   env,
 		})

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -85,10 +86,24 @@ func (n Node) WithDefectDensity(d float64) Node {
 	return n
 }
 
-// Validate checks the node parameters for physical plausibility.
+// Validate checks the node parameters for physical plausibility. Every
+// parameter must be finite: a NaN passes every range check below and
+// would price each system on the node to NaN without an error.
 func (n Node) Validate() error {
 	if n.Name == "" {
 		return fmt.Errorf("tech: node with empty name")
+	}
+	for _, f := range [...]struct {
+		name  string
+		value float64
+	}{
+		{"defect_density", n.DefectDensity}, {"cluster", n.Cluster}, {"wafer_cost", n.WaferCost},
+		{"bump_cost_per_mm2", n.BumpCostPerMM2}, {"sort_cost_per_mm2", n.SortCostPerMM2},
+		{"km", n.Km}, {"kc", n.Kc}, {"fixed_chip_nre", n.FixedChipNRE}, {"d2d_nre", n.D2DNRE},
+	} {
+		if math.IsNaN(f.value) || math.IsInf(f.value, 0) {
+			return fmt.Errorf("tech: %s: %s must be finite, got %v", n.Name, f.name, f.value)
+		}
 	}
 	if n.DefectDensity < 0 {
 		return fmt.Errorf("tech: %s: negative defect density %v", n.Name, n.DefectDensity)

@@ -3,8 +3,10 @@ package tech
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -255,5 +257,63 @@ func TestNodeIDs(t *testing.T) {
 	}
 	if db.Len() != 2 || db.NodeByID(1).DefectDensity != b.DefectDensity {
 		t.Fatal("Override changed the original database")
+	}
+}
+
+// TestNonFiniteParametersRejected sets each float parameter of a valid
+// node to NaN, +Inf and −Inf in turn: NewDatabase and Override must
+// both reject the node, with an error that names the node and the
+// parameter.
+func TestNonFiniteParametersRejected(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Node, float64)
+	}{
+		{"defect_density", func(n *Node, v float64) { n.DefectDensity = v }},
+		{"cluster", func(n *Node, v float64) { n.Cluster = v }},
+		{"wafer_cost", func(n *Node, v float64) { n.WaferCost = v }},
+		{"bump_cost_per_mm2", func(n *Node, v float64) { n.BumpCostPerMM2 = v }},
+		{"sort_cost_per_mm2", func(n *Node, v float64) { n.SortCostPerMM2 = v }},
+		{"km", func(n *Node, v float64) { n.Km = v }},
+		{"kc", func(n *Node, v float64) { n.Kc = v }},
+		{"fixed_chip_nre", func(n *Node, v float64) { n.FixedChipNRE = v }},
+		{"d2d_nre", func(n *Node, v float64) { n.D2DNRE = v }},
+	}
+	// Every float field of Node is in the table.
+	floats := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Node{})) {
+		if f.Type.Kind() == reflect.Float64 {
+			floats++
+		}
+	}
+	if floats != len(fields) {
+		t.Fatalf("Node has %d float fields, the table %d", floats, len(fields))
+	}
+	db := Default()
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			n := db.MustNode("7nm")
+			n.Name = "7nm-bad"
+			f.set(&n, v)
+			for via, build := range map[string]func() (*Database, error){
+				"NewDatabase": func() (*Database, error) { return NewDatabase(db.MustNode("5nm"), n) },
+				"Override":    func() (*Database, error) { return db.Override(n) },
+			} {
+				got, err := build()
+				if err == nil {
+					t.Fatalf("%s with %s = %v: accepted", via, f.name, v)
+				}
+				if got != nil {
+					t.Errorf("%s with %s = %v: returned a database with the error", via, f.name, v)
+				}
+				if msg := err.Error(); !strings.Contains(msg, "7nm-bad") || !strings.Contains(msg, f.name) {
+					t.Errorf("%s with %s = %v: error %q names neither the node nor the field", via, f.name, v, msg)
+				}
+			}
+		}
+	}
+	// The paper's early-production defect densities stay valid.
+	if _, err := db.Override(db.MustNode("7nm").WithDefectDensity(0.13)); err != nil {
+		t.Fatal(err)
 	}
 }
