@@ -4,7 +4,13 @@
 //
 // Usage:
 //
-//	figures [-fig 2|4|5|6|8|9|10|claims|ablations|all] [-tech tech.json]
+//	figures [-fig 2|4|5|6|8|9|10|claims|ablations|extensions|robustness|all] [-tech tech.json]
+//	figures -json [-tech tech.json]
+//
+// With -json it writes every artifact as one JSON document instead of
+// tables, each number in its shortest round-trip form:
+// internal/experiments/testdata/oracle.json is that output on the
+// built-in database.
 package main
 
 import (
@@ -30,6 +36,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fig := fs.String("fig", "all", "which artifact to regenerate: 2, 4, 5, 6, 8, 9, 10, claims, ablations, extensions, robustness or all")
 	techPath := fs.String("tech", "", "optional technology database JSON (default: built-in)")
+	jsonOut := fs.Bool("json", false, "write every artifact as JSON, shortest round-trip floats, instead of tables")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -44,6 +51,12 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	params := actuary.DefaultPackaging()
+	if *jsonOut {
+		if *fig != "all" {
+			return fmt.Errorf("-json writes every artifact; it does not take -fig %q", *fig)
+		}
+		return experiments.WriteOracle(out, db, params)
+	}
 	eng, err := cost.NewEngine(db, params)
 	if err != nil {
 		return err
@@ -135,12 +148,11 @@ func run(args []string, out io.Writer) error {
 			return experiments.RenderNodeMigrationStudy(out, migration)
 		},
 		"robustness": func() error {
-			const n, rel = 200, 0.15
-			rows, err := experiments.Robustness(db, params, n, rel)
+			rows, err := experiments.Robustness(db, params, experiments.RobustnessSamples, experiments.RobustnessSpread)
 			if err != nil {
 				return err
 			}
-			return experiments.RenderRobustness(out, rows, n, rel)
+			return experiments.RenderRobustness(out, rows, experiments.RobustnessSamples, experiments.RobustnessSpread)
 		},
 		"claims": func() error {
 			claims, err := experiments.Claims(db, params)
@@ -150,7 +162,7 @@ func run(args []string, out io.Writer) error {
 			return experiments.RenderClaims(out, claims)
 		},
 		"ablations": func() error {
-			flow, err := experiments.FlowAblation(eng, "7nm", 600)
+			flow, err := experiments.FlowAblation(eng, experiments.FlowAblationNode, experiments.FlowAblationAreaMM2)
 			if err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -56,6 +57,36 @@ func TestRunAllGolden(t *testing.T) {
 		if g != w {
 			t.Fatalf("-fig all differs from %s at line %d:\n got %q\nwant %q", path, i+1, g, w)
 		}
+	}
+}
+
+// TestRunJSON checks that -json writes the oracle document the
+// experiments package pins in its testdata, and refuses -fig.
+func TestRunJSON(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("-json output is not JSON: %v", err)
+	}
+	for _, key := range []string{"Fig2", "Fig4", "Fig10", "Claims", "FlowAblation", "NodeMigration", "Robustness"} {
+		if _, ok := doc[key]; !ok {
+			t.Errorf("-json output has no %q", key)
+		}
+	}
+	if runtime.GOARCH == "amd64" {
+		want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "oracle.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Error("-json output differs from internal/experiments/testdata/oracle.json")
+		}
+	}
+	if err := run([]string{"-json", "-fig", "4"}, &out); err == nil {
+		t.Error("-json -fig 4 accepted")
 	}
 }
 

@@ -179,10 +179,11 @@ func (e *Engine) Wafers(s system.System, quantity float64) (WaferDemand, error) 
 	// Interposer wafers for advanced packaging.
 	if s.Scheme.HasInterposer() {
 		intNode := s.Scheme.InterposerNode()
-		node, err := e.db.Node(intNode)
+		id, err := e.db.NodeID(intNode)
 		if err != nil {
 			return WaferDemand{}, err
 		}
+		node := e.db.NodeByID(id)
 		intArea := b.Packaging.InterposerAreaMM2
 		y1 := node.Yield(intArea)
 		dpw := e.params.Wafer.DiesPerWafer(e.params.Estimator, intArea)
@@ -218,8 +219,8 @@ func (e *Engine) REFloor(s system.System) (float64, bool) {
 		return 0, false
 	}
 	var tally cacheTally
-	dc, err := e.dieCost(s.Placements[0].Chiplet, u.DieAreaMM2, &tally)
-	if err != nil || !(dc.KGD >= 0) {
+	var dc DieCost
+	if err := e.dieCost(&s.Placements[0].Chiplet, u.DieAreaMM2, &tally, &dc); err != nil || !(dc.KGD >= 0) {
 		return 0, false
 	}
 	e.cache.Note(tally.hits, tally.misses)
@@ -227,35 +228,37 @@ func (e *Engine) REFloor(s system.System) (float64, bool) {
 }
 
 // dieCost evaluates one die of the given area (c.DieArea(), or the
-// bit-identical Uniform.DieAreaMM2), consulting the KGD cache when
-// enabled.
-func (e *Engine) dieCost(c system.Chiplet, area float64, tally *cacheTally) (DieCost, error) {
+// bit-identical Uniform.DieAreaMM2) into *dc, consulting the KGD cache
+// when enabled.
+func (e *Engine) dieCost(c *system.Chiplet, area float64, tally *cacheTally, dc *DieCost) error {
 	id, err := e.db.NodeID(c.Node)
 	if err != nil {
-		return DieCost{}, err
+		return err
 	}
-	return e.dieCostAt(c, id, area, tally)
+	return e.dieCostAt(c, id, area, tally, dc)
 }
 
 // dieCostAt is dieCost for a chiplet on the node with database id id.
-func (e *Engine) dieCostAt(c system.Chiplet, id int, area float64, tally *cacheTally) (DieCost, error) {
+// It writes *dc only when it returns no error.
+func (e *Engine) dieCostAt(c *system.Chiplet, id int, area float64, tally *cacheTally, dc *DieCost) error {
 	key := dieKey{node: id, areaMM2: area}
 	if c.Salvage != nil {
 		key.salvageFraction = c.Salvage.Fraction
 		key.salvageValue = c.Salvage.Value
 	}
 	if e.cache != nil {
-		if v, ok := e.cache.Peek(key); ok {
+		var v dieValue
+		if e.cache.Peek(key, &v) {
 			tally.hits++
-			return DieCost{Name: c.Name, Node: c.Node, AreaMM2: area,
-				Raw: v.raw, Yield: v.yield, KGD: v.kgd}, nil
+			*dc = DieCost{Name: c.Name, Node: c.Node, AreaMM2: area, Raw: v.raw, Yield: v.yield, KGD: v.kgd}
+			return nil
 		}
 		tally.misses++
 	}
 	node := e.db.NodeByID(id)
 	perDie, err := e.params.Wafer.CostPerRawDie(e.params.Estimator, node.WaferCost, area)
 	if err != nil {
-		return DieCost{}, fmt.Errorf("cost: die %q: %w", c.Name, err)
+		return fmt.Errorf("cost: die %q: %w", c.Name, err)
 	}
 	raw := perDie + (node.BumpCostPerMM2+node.SortCostPerMM2)*area
 	y := node.Yield(area)
@@ -270,7 +273,8 @@ func (e *Engine) dieCostAt(c system.Chiplet, id int, area float64, tally *cacheT
 	}
 	kgd := raw / y
 	e.cache.Put(key, dieValue{raw: raw, yield: y, kgd: kgd})
-	return DieCost{Name: c.Name, Node: c.Node, AreaMM2: area, Raw: raw, Yield: y, KGD: kgd}, nil
+	*dc = DieCost{Name: c.Name, Node: c.Node, AreaMM2: area, Raw: raw, Yield: y, KGD: kgd}
+	return nil
 }
 
 // RE computes the recurring cost of one unit of the system. Systems
@@ -278,45 +282,58 @@ func (e *Engine) dieCostAt(c system.Chiplet, id int, area float64, tally *cacheT
 // has) take the closed-form fast path, REUniform, with bit-identical
 // results; any other shape takes the general per-placement walk.
 func (e *Engine) RE(s system.System) (Breakdown, error) {
+	var b Breakdown
+	var err error
 	if u, ok := system.AsUniform(s); ok {
-		return e.REUniform(s, u)
+		err = e.REUniform(&s, u, &b)
+	} else {
+		err = e.reSlow(&s, &b)
 	}
-	return e.reSlow(s)
+	return b, err
 }
 
-// REUniform evaluates a uniform k-way system with one die evaluation
-// and one (memoizable) packaging partial, reproducing the general
-// walk's arithmetic — including its error messages and cache
+// The functions below fill a Breakdown the caller owns instead of
+// returning one: a Breakdown is 160 bytes, and the portfolio and sweep
+// paths write each answer straight into its final place. Each leaves
+// *b the zero Breakdown when it returns an error.
+
+// REUniform evaluates a uniform k-way system into *b with one die
+// evaluation and one (memoizable) packaging partial, reproducing the
+// general walk's arithmetic — including its error messages and cache
 // accounting — bit for bit. It is the RE twin of
 // nre.Engine.EvaluateUniform: callers that already proved s uniform
 // pass the proof on instead of proving it again, and must pass a u
-// obtained from system.AsUniform(s).
-func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error) {
+// obtained from system.AsUniform(*s).
+func (e *Engine) REUniform(s *system.System, u system.Uniform, b *Breakdown) error {
+	// Zero first, so that an error before the breakdown is written
+	// leaves it zero; the general walk zeroes its own.
+	*b = Breakdown{}
 	// Validate-order errors this shape can still produce: unknown
 	// node first (from the placement walk), then negative quantity.
 	id, err := e.db.NodeID(u.Node)
 	if err != nil {
-		return Breakdown{}, system.WrapUniformNodeErr(s, err)
+		return system.WrapUniformNodeErr(*s, err)
 	}
 	if s.Quantity < 0 {
-		return Breakdown{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
+		return fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
 	}
 	dc, err := e.UniformDie(s, u, id)
 	if err != nil {
-		return Breakdown{}, err
+		return err
 	}
 	if !(dc.KGD >= 0) {
 		// Node validation rejects negative and non-finite parameters,
 		// so a validated database cannot price a die below zero or at
 		// NaN. Should one, the general path owns that case (it rejects
 		// a KGD below zero in assembly validation), so let it.
-		return e.reSlow(s)
+		return e.reSlow(s, b)
 	}
-	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, u.PackageKey(s.Scheme, s.Flow))
-	if err != nil {
-		return Breakdown{}, err
+	var pt packaging.Partial
+	if err := packaging.CachedPartial(e.partials, &e.params, e.db, u.PackageKey(s.Scheme, s.Flow), &pt); err != nil {
+		return err
 	}
-	return UniformBreakdown(s, u, dc.Raw, dc.Yield, pt), nil
+	UniformBreakdown(s, u, dc.Raw, dc.Yield, &pt, b)
+	return nil
 }
 
 // UniformDie prices the die all k chiplets of a uniform system share,
@@ -326,10 +343,10 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 // outcome (an error, or a KGD below zero or NaN, which a validated
 // database cannot produce) books nothing; REUniform then reports the
 // error or takes the general walk, which books its own probes.
-func (e *Engine) UniformDie(s system.System, u system.Uniform, id int) (DieCost, error) {
+func (e *Engine) UniformDie(s *system.System, u system.Uniform, id int) (DieCost, error) {
 	var tally cacheTally
-	dc, err := e.dieCostAt(s.Placements[0].Chiplet, id, u.DieAreaMM2, &tally)
-	if err != nil || !(dc.KGD >= 0) {
+	var dc DieCost
+	if err := e.dieCostAt(&s.Placements[0].Chiplet, id, u.DieAreaMM2, &tally, &dc); err != nil || !(dc.KGD >= 0) {
 		return dc, err
 	}
 	tally.hits += int64(u.K - 1)
@@ -337,14 +354,14 @@ func (e *Engine) UniformDie(s system.System, u system.Uniform, id int) (DieCost,
 	return dc, nil
 }
 
-// UniformBreakdown assembles the RE breakdown of a uniform system
+// UniformBreakdown writes into *b the RE breakdown of a uniform system
 // whose k dies each price at raw and yield and whose package prices as
 // pt: the per-die walk's k in-order sums, then pt applied to the summed
 // KGD cost. REUniform and the evaluator's uniform-shape table both
 // build their answers here, so both carry the general walk's bits.
-func UniformBreakdown(s system.System, u system.Uniform, raw, yield float64, pt packaging.Partial) Breakdown {
+func UniformBreakdown(s *system.System, u system.Uniform, raw, yield float64, pt *packaging.Partial, b *Breakdown) {
 	kgd := raw / yield
-	b := Breakdown{Dies: make([]DieCost, u.K)}
+	*b = Breakdown{Dies: make([]DieCost, u.K)}
 	var totalKGD float64
 	for i := range b.Dies {
 		// Field by field into the zeroed entry: no per-die copy.
@@ -359,12 +376,16 @@ func UniformBreakdown(s system.System, u system.Uniform, raw, yield float64, pt 
 		b.ChipDefects += raw * (1/yield - 1)
 		totalKGD += kgd
 	}
-	pkg := pt.Apply(totalKGD)
-	b.Packaging = pkg
-	b.RawPackage = pkg.RawPackage
-	b.PackageDefects = pkg.PackageDefects
-	b.WastedKGD = pkg.WastedKGD
-	return b
+	b.applyPackage(pt, totalKGD)
+}
+
+// applyPackage completes b with the package pt prices to for dies whose
+// KGD costs sum to totalKGD.
+func (b *Breakdown) applyPackage(pt *packaging.Partial, totalKGD float64) {
+	pt.Apply(totalKGD, &b.Packaging)
+	b.RawPackage = b.Packaging.RawPackage
+	b.PackageDefects = b.Packaging.PackageDefects
+	b.WastedKGD = b.Packaging.WastedKGD
 }
 
 // reSlow is the general per-placement walk on a system it validates
@@ -372,70 +393,81 @@ func UniformBreakdown(s system.System, u system.Uniform, raw, yield float64, pt 
 // the package from the (shared, possibly nil) partial cache, so a
 // system whose NRE geometry probe already priced its package finds it
 // there.
-func (e *Engine) reSlow(s system.System) (Breakdown, error) {
+func (e *Engine) reSlow(s *system.System, b *Breakdown) error {
 	if err := s.Validate(e.db); err != nil {
-		return Breakdown{}, err
+		*b = Breakdown{}
+		return err
 	}
-	return e.placements(&s, nil)
+	return e.placements(s, nil, b)
 }
 
-// REPackaged is RE for a system that has passed System.Validate and
-// whose package prices as pt: what nre.Engine.PerUnitPackaged hands on
-// once its portfolio walk has validated every member and priced its
+// REPackaged is RE into *b for a system that has passed System.Validate
+// and whose package prices as pt: what nre.Engine.PerUnitPackaged hands
+// on once its portfolio walk has validated every member and priced its
 // package. It skips the validation, the uniform proof and the partial
 // probe RE would repeat, and answers bit for bit as RE does, with the
 // same errors and the same KGD counters.
-func (e *Engine) REPackaged(s system.System, pt *packaging.Partial) (Breakdown, error) {
-	return e.placements(&s, pt)
+func (e *Engine) REPackaged(s *system.System, pt *packaging.Partial, b *Breakdown) error {
+	return e.placements(s, pt, b)
 }
 
 // placements is the general per-placement walk behind reSlow and
-// REPackaged. It prices each placement's die once and books the other
-// Count−1 copies as the KGD hits a per-die walk would make, lays out
-// every die in die order, checks the dies' KGD costs as
-// packaging.Package would, and applies the package partial: pt when
-// the caller has priced it (and so checked the dies' areas and count),
-// otherwise one probe of the partial cache after those checks.
-func (e *Engine) placements(s *system.System, pt *packaging.Partial) (Breakdown, error) {
-	b := Breakdown{Dies: make([]DieCost, 0, s.DieCount())}
+// REPackaged. It prices each placement's die once, straight into its
+// first slot of b.Dies, and books the other Count−1 copies as the KGD
+// hits a per-die walk would make; it lays out every die in die order,
+// checks the dies' KGD costs as packaging.Package would, and applies
+// the package partial: pt when the caller has priced it (and so checked
+// the dies' areas and count), otherwise one probe of the partial cache
+// after those checks.
+func (e *Engine) placements(s *system.System, pt *packaging.Partial, b *Breakdown) error {
+	err := e.walkDies(s, pt, b)
+	if err != nil {
+		*b = Breakdown{}
+	}
+	return err
+}
+
+// walkDies is placements, which zeroes *b on an error.
+func (e *Engine) walkDies(s *system.System, pt *packaging.Partial, b *Breakdown) error {
+	*b = Breakdown{Dies: make([]DieCost, s.DieCount())}
 	var tally cacheTally
 	var totalArea, totalKGD float64
+	n := 0
 	for i := range s.Placements {
 		p := &s.Placements[i]
-		dc, err := e.dieCost(p.Chiplet, p.Chiplet.DieArea(), &tally)
-		if err != nil {
-			return Breakdown{}, err
+		dc := &b.Dies[n]
+		if err := e.dieCost(&p.Chiplet, p.Chiplet.DieArea(), &tally, dc); err != nil {
+			return err
 		}
 		tally.hits += int64(p.Count - 1)
-		for n := 0; n < p.Count; n++ {
-			b.Dies = append(b.Dies, dc)
+		for c := 0; c < p.Count; c++ {
+			if c > 0 {
+				b.Dies[n] = *dc
+			}
 			b.RawChips += dc.Raw
 			b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
 			totalArea += dc.AreaMM2
 			totalKGD += dc.KGD
+			n++
 		}
 	}
 	e.cache.Note(tally.hits, tally.misses)
 
 	for i := range b.Dies {
 		if err := packaging.CheckDie(i, b.Dies[i].AreaMM2, b.Dies[i].KGD); err != nil {
-			return Breakdown{}, err
+			return err
 		}
 	}
 	if pt == nil {
 		if err := packaging.CheckDieCount(s.Scheme, len(b.Dies)); err != nil {
-			return Breakdown{}, err
+			return err
 		}
-		probed, err := packaging.CachedPartial(e.partials, e.params, e.db, s.PackageKey(len(b.Dies), totalArea))
-		if err != nil {
-			return Breakdown{}, err
+		var probed packaging.Partial
+		if err := packaging.CachedPartial(e.partials, &e.params, e.db, s.PackageKey(len(b.Dies), totalArea), &probed); err != nil {
+			return err
 		}
 		pt = &probed
 	}
-	pkg := pt.Apply(totalKGD)
-	b.Packaging = pkg
-	b.RawPackage = pkg.RawPackage
-	b.PackageDefects = pkg.PackageDefects
-	b.WastedKGD = pkg.WastedKGD
-	return b, nil
+	b.applyPackage(pt, totalKGD)
+	return nil
 }

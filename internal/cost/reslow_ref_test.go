@@ -24,8 +24,8 @@ func refReSlow(e *Engine, s system.System) (Breakdown, error) {
 	b.Dies = make([]DieCost, len(dies))
 	var tally cacheTally
 	for i, c := range dies {
-		dc, err := e.dieCost(c, c.DieArea(), &tally)
-		if err != nil {
+		var dc DieCost
+		if err := e.dieCost(&c, c.DieArea(), &tally, &dc); err != nil {
 			return Breakdown{}, err
 		}
 		b.Dies[i] = dc
@@ -78,7 +78,8 @@ func TestReSlowMatchesReference(t *testing.T) {
 	for i := 0; i < n; i++ {
 		for _, s := range gen.Portfolio() {
 			want, werr := refReSlow(ref, s)
-			got, gerr := cur.reSlow(s)
+			var got Breakdown
+			gerr := cur.reSlow(&s, &got)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 				t.Fatalf("draw %d, %+v:\n got %v\nwant %v", i, s, gerr, werr)
 			}

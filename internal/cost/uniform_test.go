@@ -46,7 +46,8 @@ func TestUniformFastPathMatchesSlow(t *testing.T) {
 							}
 							for pass := 0; pass < 2; pass++ {
 								got, gerr := fast.RE(s)
-								want, werr := slow.reSlow(s)
+								var want Breakdown
+								werr := slow.reSlow(&s, &want)
 								if (gerr == nil) != (werr == nil) {
 									t.Fatalf("%s/%v/%v k=%d q=%v pass %d: err %v vs %v", node, scheme, flow, k, q, pass, gerr, werr)
 								}
@@ -113,8 +114,8 @@ func TestUniformFastPathDisabledCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := slow.reSlow(s)
-	if err != nil {
+	var want Breakdown
+	if err := slow.reSlow(&s, &want); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -34,7 +34,8 @@ type Evaluator struct {
 	Cost *cost.Engine
 	NRE  *nre.Engine
 
-	db *tech.Database
+	db     *tech.Database
+	params packaging.Params
 	// partials is the packaging partial cache shared by both engines
 	// and the shape table; shapes is the uniform-shape table Single
 	// prices from. Both are nil when disabled.
@@ -53,7 +54,7 @@ func NewEvaluator(db *tech.Database, params packaging.Params) (*Evaluator, error
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{Cost: ce, NRE: ne, db: db}, nil
+	return &Evaluator{Cost: ce, NRE: ne, db: db, params: params}, nil
 }
 
 // NewEvaluatorWithCache builds an evaluator whose cost engine memoizes
@@ -93,7 +94,7 @@ func NewEvaluatorWithCaches(db *tech.Database, params packaging.Params, cacheSiz
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{Cost: ce, NRE: ne, db: db, partials: pc, shapes: newShapeCache(partialsSize, db)}, nil
+	return &Evaluator{Cost: ce, NRE: ne, db: db, params: params, partials: pc, shapes: newShapeCache(partialsSize, db)}, nil
 }
 
 // PartialsStats reports the partial-memoization counters: Packaging
@@ -143,31 +144,39 @@ func (t TotalCost) NREShare() float64 {
 // Cost.REUniform — which reports the error exactly, including its
 // order: like Portfolio, NRE validation errors surface before RE ones.
 // Any other shape is priced as a one-member Portfolio, in one pass.
+//
+// Below Single and Portfolio, each layer writes its answer into the
+// TotalCost being built instead of returning a copy; a TotalCost is
+// 192 bytes. On an error Single returns the zero TotalCost.
 func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error) {
-	if u, ok := system.AsUniform(s); ok {
-		if tc, ok := e.singleShape(s, u, policy); ok {
-			return tc, nil
-		}
-		nb, err := e.NRE.EvaluateUniform(s, u, policy)
-		if err != nil {
-			return TotalCost{}, err
-		}
-		re, err := e.Cost.REUniform(s, u)
-		if err != nil {
-			return TotalCost{}, err
-		}
-		return TotalCost{RE: re, NRE: nb}, nil
+	var tc TotalCost
+	if err := e.single(&s, policy, &tc); err != nil {
+		return TotalCost{}, err
 	}
+	return tc, nil
+}
+
+// single is Single writing into *tc, which holds no answer on an error.
+func (e *Evaluator) single(s *system.System, policy nre.Policy, tc *TotalCost) error {
+	if u, ok := system.AsUniform(*s); ok {
+		if e.singleShape(s, u, policy, tc) {
+			return nil
+		}
+		nb, err := e.NRE.EvaluateUniform(*s, u, policy)
+		if err != nil {
+			return err
+		}
+		tc.NRE = nb
+		return e.Cost.REUniform(s, u, &tc.RE)
+	}
+	one := [1]system.System{*s}
 	var pkg [1]packaging.Partial
-	nres, err := e.NRE.PerUnitPackaged([]system.System{s}, policy, pkg[:])
-	if err != nil {
-		return TotalCost{}, err
+	var per [1]nre.Breakdown
+	if err := e.NRE.PerUnitPackaged(one[:], policy, pkg[:], per[:]); err != nil {
+		return err
 	}
-	re, err := e.Cost.REPackaged(s, &pkg[0])
-	if err != nil {
-		return TotalCost{}, err
-	}
-	return TotalCost{RE: re, NRE: nres[0]}, nil
+	tc.NRE = per[0]
+	return e.Cost.REPackaged(s, &pkg[0], &tc.RE)
 }
 
 // Portfolio evaluates a family of systems that share designs, keyed by
@@ -178,33 +187,38 @@ func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error
 // are bit for bit those of NRE.Portfolio followed by Cost.RE on each
 // member in order.
 func (e *Evaluator) Portfolio(systems []system.System, policy nre.Policy) (map[string]TotalCost, error) {
-	// The partials live on the stack up to 64 members, in a buffer
-	// sized to the portfolio, so a small portfolio zeroes little.
+	// The partials and per-unit NRE live on the stack up to 64
+	// members, in buffers sized to the portfolio, so a small portfolio
+	// zeroes little.
 	switch n := len(systems); {
 	case n <= 4:
-		var buf [4]packaging.Partial
-		return e.portfolio(systems, policy, buf[:n])
+		var pkgs [4]packaging.Partial
+		var per [4]nre.Breakdown
+		return e.portfolio(systems, policy, pkgs[:n], per[:n])
 	case n <= 64:
-		var buf [64]packaging.Partial
-		return e.portfolio(systems, policy, buf[:n])
+		var pkgs [64]packaging.Partial
+		var per [64]nre.Breakdown
+		return e.portfolio(systems, policy, pkgs[:n], per[:n])
 	default:
-		return e.portfolio(systems, policy, make([]packaging.Partial, n))
+		return e.portfolio(systems, policy, make([]packaging.Partial, n), make([]nre.Breakdown, n))
 	}
 }
 
-// portfolio is Portfolio with room for each member's package partial.
-func (e *Evaluator) portfolio(systems []system.System, policy nre.Policy, pkgs []packaging.Partial) (map[string]TotalCost, error) {
-	nres, err := e.NRE.PerUnitPackaged(systems, policy, pkgs)
-	if err != nil {
+// portfolio is Portfolio with room for each member's package partial
+// and per-unit NRE. It builds each member's TotalCost in one place and
+// copies it once, into the result map.
+func (e *Evaluator) portfolio(systems []system.System, policy nre.Policy, pkgs []packaging.Partial, per []nre.Breakdown) (map[string]TotalCost, error) {
+	if err := e.NRE.PerUnitPackaged(systems, policy, pkgs, per); err != nil {
 		return nil, err
 	}
 	out := make(map[string]TotalCost, len(systems))
+	var tc TotalCost
 	for i := range systems {
-		re, err := e.Cost.REPackaged(systems[i], &pkgs[i])
-		if err != nil {
+		if err := e.Cost.REPackaged(&systems[i], &pkgs[i], &tc.RE); err != nil {
 			return nil, err
 		}
-		out[systems[i].Name] = TotalCost{RE: re, NRE: nres[i]}
+		tc.NRE = per[i]
+		out[systems[i].Name] = tc
 	}
 	return out, nil
 }

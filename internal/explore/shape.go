@@ -61,51 +61,50 @@ func shapeKeyHash(db *tech.Database) func(shapeKey) uint64 {
 }
 
 // singleShape prices a uniform system from the shape table with one
-// probe. A miss prices the package once through the partial table and
-// the die once through the KGD table (booking k probes, as REUniform
-// does), and stores both. ok is false for what the step path must
-// report or price itself: a quantity of zero or below, an unknown
-// node, a scheme or flow outside the key, and a shape whose die or
-// package fails.
-func (e *Evaluator) singleShape(s system.System, u system.Uniform, policy nre.Policy) (TotalCost, bool) {
+// probe, into *tc, which it writes only when it returns true. A miss
+// prices the package once through the partial table and the die once
+// through the KGD table (booking k probes, as REUniform does), and
+// stores both. ok is false for what the step path must report or price
+// itself: a quantity of zero or below, an unknown node, a scheme or
+// flow outside the key, and a shape whose die or package fails.
+func (e *Evaluator) singleShape(s *system.System, u system.Uniform, policy nre.Policy, tc *TotalCost) (ok bool) {
 	if s.Quantity <= 0 || uint(s.Scheme) > math.MaxUint8 || uint(s.Flow) > math.MaxUint8 {
-		return TotalCost{}, false
+		return false
 	}
 	id, err := e.db.NodeID(u.Node)
 	if err != nil {
-		return TotalCost{}, false
+		return false
 	}
 	key := shapeKey{node: int32(id), scheme: uint8(s.Scheme), flow: uint8(s.Flow), k: uint16(u.K),
 		moduleArea: u.ModuleAreaMM2, d2dArea: u.D2DAreaMM2}
-	ent, hit := e.shapes.Get(key)
-	if !hit {
-		ent = e.priceShape(s, u, id)
+	var ent shapeEntry
+	if !e.shapes.Get(key, &ent) {
+		e.priceShape(s, u, id, &ent)
 		e.shapes.Put(key, ent)
 	}
 	if ent.fails {
-		return TotalCost{}, false
+		return false
 	}
-	node := e.db.NodeByID(id)
-	return TotalCost{
-		RE:  cost.UniformBreakdown(s, u, ent.raw, ent.yield, ent.pkg),
-		NRE: nre.AmortizeUniform(&node, u, s.Scheme, &ent.pkg, s.Quantity, policy),
-	}, true
+	cost.UniformBreakdown(s, u, ent.raw, ent.yield, &ent.pkg, &tc.RE)
+	tc.NRE = nre.AmortizeUniform(e.db.NodeByID(id), u, s.Scheme, &ent.pkg, s.Quantity, policy)
+	return true
 }
 
-// priceShape prices a shape the table does not hold: the package first,
-// as EvaluateUniform would, and the die only when the package prices,
-// as REUniform would run only then — so the KGD and partial tables see
-// the keys the step path would show them.
-func (e *Evaluator) priceShape(s system.System, u system.Uniform, id int) shapeEntry {
-	pt, err := packaging.CachedPartial(e.partials, e.Cost.Params(), e.db, u.PackageKey(s.Scheme, s.Flow))
-	if err != nil {
-		return shapeEntry{fails: true}
+// priceShape prices into *ent a shape the table does not hold: the
+// package first, as EvaluateUniform would, and the die only when the
+// package prices, as REUniform would run only then — so the KGD and
+// partial tables see the keys the step path would show them.
+func (e *Evaluator) priceShape(s *system.System, u system.Uniform, id int, ent *shapeEntry) {
+	if err := packaging.CachedPartial(e.partials, &e.params, e.db, u.PackageKey(s.Scheme, s.Flow), &ent.pkg); err != nil {
+		*ent = shapeEntry{fails: true}
+		return
 	}
 	dc, err := e.Cost.UniformDie(s, u, id)
 	// A validated database cannot price a die below zero or at NaN; the
 	// check stays as a defense, sending such a shape to the step path.
 	if err != nil || !(dc.KGD >= 0) {
-		return shapeEntry{fails: true}
+		*ent = shapeEntry{fails: true}
+		return
 	}
-	return shapeEntry{raw: dc.Raw, yield: dc.Yield, pkg: pt}
+	ent.raw, ent.yield, ent.fails = dc.Raw, dc.Yield, false
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"chipletactuary/internal/dtod"
@@ -75,8 +76,11 @@ func TestSingleMatchesPortfolio(t *testing.T) {
 
 var sinkTotal TotalCost
 
-// TestSingleAllocations pins a warm-cache Single on a uniform system at
-// one allocation, the Breakdown.Dies slice.
+// TestSingleAllocations pins a warm-cache Single at one allocation, the
+// Breakdown.Dies slice, on uniform systems and on systems the general
+// path prices (a reused package envelope, a chiplet mounted several
+// times), whose claim rows, per-unit NRE and package partial stay on
+// the stack.
 func TestSingleAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector adds allocations")
@@ -101,6 +105,22 @@ func TestSingleAllocations(t *testing.T) {
 			}
 		}); n > 1 {
 			t.Errorf("k=%d: Single made %v allocations, want ≤ 1", k, n)
+		}
+	}
+	families := reuseFamilies(t, packaging.DefaultParams())
+	for _, name := range []string{"SCMS shared package", "FSMC 3x4"} {
+		set := families[name]
+		i := slices.IndexFunc(set, func(s system.System) bool { _, ok := system.AsUniform(s); return !ok })
+		if i < 0 {
+			t.Fatalf("%s: every member is uniform", name)
+		}
+		s := set[i]
+		if n := testing.AllocsPerRun(100, func() {
+			if sinkTotal, err = ev.Single(s, nre.PerSystemUnit); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 1 {
+			t.Errorf("%s: Single made %v allocations, want ≤ 1", s.Name, n)
 		}
 	}
 }

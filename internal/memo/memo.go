@@ -186,36 +186,41 @@ func (sh *shard[K, V]) unindex(slot int) {
 	sh.index[i] = 0
 }
 
-// Get returns the cached value for k, counting a hit or a miss.
-func (c *Cache[K, V]) Get(k K) (v V, ok bool) {
+// Get copies the cached value for k into *v, which the caller owns,
+// and reports whether k was cached, counting a hit or a miss; a miss
+// leaves *v as it was. The value is copied once, from the entry
+// straight into *v: the cost model's values are up to 136 bytes.
+func (c *Cache[K, V]) Get(k K, v *V) bool {
 	if c == nil {
-		return v, false
+		return false
 	}
 	sh, h := c.locate(k)
 	sh.mu.Lock()
-	if slot := sh.find(h, k); slot >= 0 {
-		v, ok = sh.ring[slot].val, true
+	slot := sh.find(h, k)
+	if slot >= 0 {
+		*v = sh.ring[slot].val
 		sh.hits++
 	} else {
 		sh.misses++
 	}
 	sh.mu.Unlock()
-	return v, ok
+	return slot >= 0
 }
 
 // Peek is Get without touching the hit/miss counters, for callers
 // that batch their accounting through Note.
-func (c *Cache[K, V]) Peek(k K) (v V, ok bool) {
+func (c *Cache[K, V]) Peek(k K, v *V) bool {
 	if c == nil {
-		return v, false
+		return false
 	}
 	sh, h := c.locate(k)
 	sh.mu.Lock()
-	if slot := sh.find(h, k); slot >= 0 {
-		v, ok = sh.ring[slot].val, true
+	slot := sh.find(h, k)
+	if slot >= 0 {
+		*v = sh.ring[slot].val
 	}
 	sh.mu.Unlock()
-	return v, ok
+	return slot >= 0
 }
 
 // Put inserts k→v, evicting the shard's oldest entry if the shard is

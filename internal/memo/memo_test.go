@@ -15,11 +15,12 @@ func intHash(k int) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
 
 func TestGetPut(t *testing.T) {
 	c := New[int, string](64, intHash)
-	if _, ok := c.Get(1); ok {
+	var v string
+	if c.Get(1, &v) {
 		t.Fatal("unexpected hit on empty cache")
 	}
 	c.Put(1, "one")
-	if v, ok := c.Get(1); !ok || v != "one" {
+	if ok := c.Get(1, &v); !ok || v != "one" {
 		t.Fatalf("got %q, %v", v, ok)
 	}
 	st := c.Stats()
@@ -32,7 +33,8 @@ func TestFirstWriteWins(t *testing.T) {
 	c := New[int, string](64, intHash)
 	c.Put(7, "first")
 	c.Put(7, "second")
-	if v, _ := c.Peek(7); v != "first" {
+	var v string
+	if c.Peek(7, &v); v != "first" {
 		t.Fatalf("duplicate put replaced value: %q", v)
 	}
 	if st := c.Stats(); st.Entries != 1 {
@@ -55,7 +57,8 @@ func TestBound(t *testing.T) {
 		t.Fatalf("cache exceeded bound: %+v", st)
 	}
 	// The very last key inserted must still be present.
-	if _, ok := c.Peek(10*max - 1); !ok {
+	var v int
+	if !c.Peek(10*max-1, &v) {
 		t.Fatal("most recent key was evicted")
 	}
 }
@@ -66,7 +69,8 @@ func TestNilCacheDisabled(t *testing.T) {
 		t.Fatal("New with max<1 should return nil")
 	}
 	c.Put(1, 1) // must not panic
-	if _, ok := c.Get(1); ok {
+	var v int
+	if c.Get(1, &v) {
 		t.Fatal("nil cache returned a hit")
 	}
 	c.Note(3, 4)
@@ -95,7 +99,8 @@ func TestConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := i % 100
-				if v, ok := c.Get(k); ok {
+				var v string
+				if c.Get(k, &v) {
 					if want := fmt.Sprint(k); v != want {
 						t.Errorf("key %d: got %q want %q", k, v, want)
 					}
@@ -272,13 +277,15 @@ func TestDifferentialAgainstMap(t *testing.T) {
 					c.Put(k, v)
 					ref.Put(k, v)
 				case r < 15:
-					v, ok := c.Get(k)
+					var v string
+					ok := c.Get(k, &v)
 					wv, wok := ref.Get(k)
 					if v != wv || ok != wok {
 						t.Fatalf("op %d Get(%v) = %q,%v; reference %q,%v", op, k, v, ok, wv, wok)
 					}
 				case r < 19:
-					v, ok := c.Peek(k)
+					var v string
+					ok := c.Peek(k, &v)
 					wv, wok := ref.Peek(k)
 					if v != wv || ok != wok {
 						t.Fatalf("op %d Peek(%v) = %q,%v; reference %q,%v", op, k, v, ok, wv, wok)
@@ -301,6 +308,8 @@ func TestDifferentialAgainstMap(t *testing.T) {
 	}
 }
 
+var sinkValue [3]float64
+
 // TestSteadyStateAllocs pins the fixed footprint: once built, lookups
 // and evicting inserts allocate nothing.
 func TestSteadyStateAllocs(t *testing.T) {
@@ -315,9 +324,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	probe := next - 1
 	for name, fn := range map[string]func(){
-		"Get hit":      func() { c.Get(key(probe)) },
-		"Get miss":     func() { c.Get(structKey{node: "3nm"}) },
-		"Peek":         func() { c.Peek(key(probe)) },
+		"Get hit":      func() { c.Get(key(probe), &sinkValue) },
+		"Get miss":     func() { c.Get(structKey{node: "3nm"}, &sinkValue) },
+		"Peek":         func() { c.Peek(key(probe), &sinkValue) },
 		"evicting Put": func() { c.Put(key(next), [3]float64{}); next++ },
 	} {
 		if n := testing.AllocsPerRun(1000, fn); n != 0 {
@@ -407,9 +416,10 @@ func TestConcurrentEviction(t *testing.T) {
 			for i := 0; i < 5000; i++ {
 				k := universe[rng.Intn(len(universe))]
 				want := fmt.Sprint(k)
-				v, ok := c.Get(k)
+				var v string
+				ok := c.Get(k, &v)
 				if !ok {
-					v, ok = c.Peek(k)
+					ok = c.Peek(k, &v)
 				}
 				if ok && v != want {
 					t.Errorf("key %v: got %q want %q", k, v, want)

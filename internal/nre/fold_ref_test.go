@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -208,6 +209,32 @@ func BenchmarkFold(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestPermuteMatchesGather checks permute against a gather into a
+// fresh slice on random injective maps: full permutations, which the
+// reference fold uses, and the partial ones fold makes when claims fold
+// away, whose chains end at a row no one takes.
+func TestPermuteMatchesGather(t *testing.T) {
+	r := rand.New(rand.NewPCG(9, 9))
+	for draw := 0; draw < 2000; draw++ {
+		n := r.IntN(40)
+		rows := make([]row, n)
+		for i := range rows {
+			rows[i] = row{key: designKey{name: fmt.Sprint(i)}, cost: float64(i), step: i}
+		}
+		src := r.Perm(n)[:r.IntN(n+1)]
+		perm := make([]int32, len(src))
+		want := make([]row, len(src))
+		for k, i := range src {
+			perm[k] = int32(i)
+			want[k] = rows[i]
+		}
+		permute(rows, perm)
+		if g, w := fmt.Sprintf("%#v", rows[:len(src)]), fmt.Sprintf("%#v", want); g != w {
+			t.Fatalf("draw %d, map %v:\n got %s\nwant %s", draw, src, g, w)
 		}
 	}
 }

@@ -150,7 +150,8 @@ func (e *Engine) Single(s system.System, policy Policy) (Result, error) {
 // de-duplicating shared designs and amortizing each design over the
 // production that consumes it.
 func (e *Engine) Portfolio(systems []system.System, policy Policy) (Result, error) {
-	rows, per, err := e.table(systems, policy, nil)
+	per := make([]Breakdown, len(systems))
+	rows, err := e.table(systems, policy, nil, per, make([]row, 0, claimCount(systems)))
 	if err != nil {
 		return Result{}, err
 	}
@@ -169,8 +170,8 @@ func (e *Engine) Portfolio(systems []system.System, policy Policy) (Result, erro
 		h := &rows[lo]
 		d := Design{Kind: h.key.kind, Key: h.key.String(), Cost: h.cost,
 			InstancesBySystem: make(map[string]float64, hi-lo)}
-		for _, r := range rows[lo:hi] {
-			d.InstancesBySystem[systems[r.sys].Name] = r.inst
+		for r := lo; r < hi; r++ {
+			d.InstancesBySystem[systems[rows[r].sys].Name] = rows[r].inst
 		}
 		res.Designs = append(res.Designs, d)
 		res.TotalNRE += d.Cost
@@ -183,23 +184,58 @@ func (e *Engine) Portfolio(systems []system.System, policy Policy) (Result, erro
 // order: out[i] is Portfolio(systems, policy).PerUnit[systems[i].Name],
 // with the same errors, but without the Result's maps and design list.
 func (e *Engine) PerUnit(systems []system.System, policy Policy) ([]Breakdown, error) {
-	_, per, err := e.table(systems, policy, nil)
-	return per, err
+	per := make([]Breakdown, len(systems))
+	if _, err := e.table(systems, policy, nil, per, make([]row, 0, claimCount(systems))); err != nil {
+		return nil, err
+	}
+	return per, nil
 }
 
-// PerUnitPackaged is PerUnit that also hands back the package partial
-// the walk priced for each system in pkgs[i], len(pkgs) == len(systems).
-// When it returns no error, every system has passed System.Validate and
-// its package prices as pkgs[i], so a caller pricing RE next can pass
-// both on (cost.Engine.REPackaged) instead of validating and probing
-// again. On an error, pkgs holds partials for a prefix of the systems
-// at most.
-func (e *Engine) PerUnitPackaged(systems []system.System, policy Policy, pkgs []packaging.Partial) ([]Breakdown, error) {
-	if len(pkgs) != len(systems) {
-		return nil, fmt.Errorf("nre: %d package slots for %d systems", len(pkgs), len(systems))
+// PerUnitPackaged is PerUnit written into per, which the caller owns,
+// that also hands back the package partial the walk priced for each
+// system in pkgs[i]; len(per) == len(pkgs) == len(systems). When it
+// returns no error, every system has passed System.Validate and its
+// package prices as pkgs[i], so a caller pricing RE next can pass both
+// on (cost.Engine.REPackaged) instead of validating and probing again.
+// On an error, per holds no answer and pkgs holds partials for a prefix
+// of the systems at most.
+//
+// The design table's claim rows live on the stack up to 256 claims, in
+// a buffer sized to the claim count as fold's scratch is, so that a
+// small portfolio zeroes little; a longer walk takes them from the heap.
+func (e *Engine) PerUnitPackaged(systems []system.System, policy Policy, pkgs []packaging.Partial, per []Breakdown) error {
+	if len(pkgs) != len(systems) || len(per) != len(systems) {
+		return fmt.Errorf("nre: %d package and %d per-unit slots for %d systems", len(pkgs), len(per), len(systems))
 	}
-	_, per, err := e.table(systems, policy, pkgs)
-	return per, err
+	var err error
+	switch n := claimCount(systems); {
+	case n <= 32:
+		var buf [32]row
+		_, err = e.table(systems, policy, pkgs, per, buf[:0:n])
+	case n <= 128:
+		var buf [128]row
+		_, err = e.table(systems, policy, pkgs, per, buf[:0:n])
+	case n <= 256:
+		var buf [256]row
+		_, err = e.table(systems, policy, pkgs, per, buf[:0:n])
+	default:
+		_, err = e.table(systems, policy, pkgs, per, make([]row, 0, n))
+	}
+	return err
+}
+
+// claimCount bounds the number of claims the walk makes for systems:
+// one per chip, module and D2D design of each placement, and one per
+// package.
+func claimCount(systems []system.System) int {
+	n := 0
+	for i := range systems {
+		for j := range systems[i].Placements {
+			n += len(systems[i].Placements[j].Chiplet.Modules) + 2
+		}
+		n++
+	}
+	return n
 }
 
 // designKey identifies a design without building its key string: the
@@ -345,100 +381,110 @@ func designEnd(rows []row, lo int) int {
 	return hi
 }
 
-// table validates the portfolio, builds its design table and amortizes
-// every design over the systems that consume it; per[i] is the
-// per-unit NRE of systems[i], and pkgs[i], unless pkgs is nil, receives
-// the package partial the walk priced for it. Errors surface in the
-// order of a walk over the systems (validation first, then each
-// placement's designs and each package in turn), and amortization
-// errors in key order.
-func (e *Engine) table(systems []system.System, policy Policy, pkgs []packaging.Partial) (rows []row, per []Breakdown, err error) {
+// table validates the portfolio, builds its design table in rows, an
+// empty slice with room for claimCount(systems) claims, and amortizes
+// every design over the systems that consume it: per[i] receives the
+// per-unit NRE of systems[i], and pkgs[i], unless pkgs is nil, the
+// package partial the walk priced for it. Errors surface in the order
+// of a walk over the systems (validation first, then each placement's
+// designs and each package in turn), and amortization errors in key
+// order.
+func (e *Engine) table(systems []system.System, policy Policy, pkgs []packaging.Partial, per []Breakdown, rows []row) ([]row, error) {
 	if len(systems) == 0 {
-		return nil, nil, fmt.Errorf("nre: empty portfolio")
+		return nil, fmt.Errorf("nre: empty portfolio")
 	}
 	dup := firstDuplicate(systems)
 	for i := range systems {
 		if err := systems[i].Validate(e.db); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if i == dup {
-			return nil, nil, fmt.Errorf("nre: duplicate system name %q", systems[i].Name)
+			return nil, fmt.Errorf("nre: duplicate system name %q", systems[i].Name)
 		}
 	}
-	rows, walkErr := e.walkPackaged(systems, pkgs)
+	rows, walkErr := e.walkPackaged(systems, pkgs, rows)
 	// The walk stops at its first error, so a conflicting claim among
 	// the rows it made came before that error and wins.
-	if rows, err = fold(rows); err != nil {
-		return nil, nil, err
+	rows, err := fold(rows)
+	if err != nil {
+		return nil, err
 	}
 	if walkErr != nil {
-		return nil, nil, walkErr
+		return nil, walkErr
 	}
-	per, err = amortize(rows, systems, policy)
-	if err != nil {
-		return nil, nil, err
+	if err := amortize(rows, systems, policy, per); err != nil {
+		return nil, err
 	}
-	return rows, per, nil
+	return rows, nil
 }
 
 // walk claims every design the portfolio uses, one row per claim in
 // walk order, and stops at the first error.
-func (e *Engine) walk(systems []system.System) ([]row, error) { return e.walkPackaged(systems, nil) }
+func (e *Engine) walk(systems []system.System) ([]row, error) {
+	return e.walkPackaged(systems, nil, make([]row, 0, claimCount(systems)))
+}
 
-// walkPackaged is walk that also stores each system's package partial
-// in pkgs[i], unless pkgs is nil.
-func (e *Engine) walkPackaged(systems []system.System, pkgs []packaging.Partial) ([]row, error) {
-	n := 0
-	for i := range systems {
-		for j := range systems[i].Placements {
-			n += len(systems[i].Placements[j].Chiplet.Modules) + 2
-		}
-		n++
-	}
-	rows := make([]row, 0, n)
-	claim := func(kind Kind, node, name string, cost float64, sys int, inst float64) {
-		rows = append(rows, row{key: designKey{kind, node, name}, cost: cost, inst: inst, sys: sys, step: len(rows)})
-	}
+// walkPackaged is walk appending to rows, which has room for every
+// claim, that also stores each system's package partial in pkgs[i],
+// unless pkgs is nil. Each claim is written straight into its row, and
+// each node is read in place by id.
+func (e *Engine) walkPackaged(systems []system.System, pkgs []packaging.Partial, rows []row) ([]row, error) {
+	var own packaging.Partial // the partial of a system whose caller keeps none
 	for i := range systems {
 		s := &systems[i]
 		// Module and chip designs, Eq. (6)/(8).
 		for j := range s.Placements {
 			p := &s.Placements[j]
 			c := &p.Chiplet
-			node, err := e.db.Node(c.Node)
+			id, err := e.db.NodeID(c.Node)
 			if err != nil {
 				return rows, err
 			}
+			node := e.db.NodeByID(id)
 			inst := float64(p.Count)
-			claim(ChipDesign, "", c.Name, node.Kc*c.DieArea()+node.FixedChipNRE, i, inst)
-			for _, m := range c.Modules {
-				claim(ModuleDesign, c.Node, m.Name, node.Km*m.AreaMM2, i, inst)
+			rows = claim(rows, ChipDesign, "", c.Name, node.Kc*c.DieArea()+node.FixedChipNRE, i, inst)
+			for k := range c.Modules {
+				m := &c.Modules[k]
+				rows = claim(rows, ModuleDesign, c.Node, m.Name, node.Km*m.AreaMM2, i, inst)
 			}
 			if c.D2DArea() > 0 {
-				claim(D2DDesign, c.Node, "", node.D2DNRE, i, inst)
+				rows = claim(rows, D2DDesign, c.Node, "", node.D2DNRE, i, inst)
 			}
 		}
 		// Package design, Eq. (7)/(8).
-		pt, err := e.packagePartial(s)
-		if err != nil {
+		pt := &own
+		if pkgs != nil {
+			pt = &pkgs[i]
+		}
+		if err := e.packagePartial(s, pt); err != nil {
 			return rows, err
 		}
-		if pkgs != nil {
-			pkgs[i] = pt
-		}
 		kp, fixed := s.Scheme.NREFactors()
-		claim(PackageDesign, "", s.PackageName(), kp*(pt.Result.SubstrateAreaMM2+pt.Result.InterposerAreaMM2)+fixed, i, 1)
+		rows = claim(rows, PackageDesign, "", s.PackageName(), kp*(pt.Result.SubstrateAreaMM2+pt.Result.InterposerAreaMM2)+fixed, i, 1)
 	}
 	return rows, nil
+}
+
+// claim appends system sys's claim of inst copies of a design at cost
+// to rows, written in place in the next row of rows' spare capacity,
+// which claimCount sized for every claim of the walk.
+func claim(rows []row, kind Kind, node, name string, cost float64, sys int, inst float64) []row {
+	n := len(rows)
+	rows = rows[:n+1]
+	r := &rows[n]
+	r.key.kind, r.key.node, r.key.name = kind, node, name
+	r.cost, r.inst, r.sys, r.step, r.head = cost, inst, sys, n, false
+	return rows
 }
 
 // fold groups the claims by design and folds each system's claims on a
 // design into one row, in place, leaving the designs in key order and
 // each design's claims in walk order. Claims are grouped through a hash
 // index over each key's string form, so only the distinct designs are
-// sorted, and a stable counting pass lays the rows out. A design costs
-// what its first claim says; the earliest claim at another cost is an
-// error.
+// sorted, and a stable counting pass orders the claims. Claims fold
+// through that order before any row moves, and each row that stays
+// then moves at most once. A design costs what its first claim says;
+// the earliest claim at another cost is an error.
 func fold(rows []row) ([]row, error) {
 	n := len(rows)
 	slots := 16
@@ -511,8 +557,10 @@ func foldIn(rows []row, scratch []int32, slots int) ([]row, error) {
 		perm[count[x]] = int32(i)
 		count[x]++
 	}
-	permute(rows, perm)
 
+	// Fold through perm, in sorted order, before any row moves: a claim
+	// that folds into its system's previous claim on the design is never
+	// moved, and perm is compacted to the rows that stay.
 	var conflict struct {
 		key        designKey
 		cost, prev float64
@@ -522,22 +570,20 @@ func foldIn(rows []row, scratch []int32, slots int) ([]row, error) {
 	w, lo := 0, 0
 	for _, x := range order {
 		hi := int(count[x])
-		cost := rows[lo].cost
+		cost := rows[perm[lo]].cost
 		for r := lo; r < hi; r++ {
-			row := &rows[r]
+			row := &rows[perm[r]]
 			if r > lo {
 				if row.cost != cost && (conflict.step < 0 || row.step < conflict.step) {
 					conflict.key, conflict.cost, conflict.prev, conflict.step = row.key, row.cost, cost, row.step
 				}
-				if rows[w-1].sys == row.sys {
-					rows[w-1].inst += row.inst
+				if prev := &rows[perm[w-1]]; prev.sys == row.sys {
+					prev.inst += row.inst
 					continue
 				}
 			}
-			if w != r {
-				rows[w] = *row
-			}
-			rows[w].head = r == lo
+			row.head = r == lo
+			perm[w] = perm[r]
 			w++
 		}
 		lo = hi
@@ -546,20 +592,53 @@ func foldIn(rows []row, scratch []int32, slots int) ([]row, error) {
 		return nil, fmt.Errorf("nre: design %q used with two different costs (%v vs %v): same name must mean same design",
 			conflict.key.String(), conflict.prev, conflict.cost)
 	}
+	permute(rows, perm[:w])
 	return rows[:w], nil
 }
 
-// permute reorders rows so that rows[i] is the row at perm[i], moving
-// each row once along the permutation's cycles; it consumes perm.
+// permuteNeeded flags, in a perm word, a destination whose row another
+// destination takes. Claim counts stay far below it.
+const permuteNeeded = 1 << 30
+
+// permute reorders rows so that rows[k] is the row that was at perm[k]
+// for each k < len(perm), moving each row that stays at most once;
+// perm is injective, and the rows from len(perm) on are left in no
+// particular order. A chain of moves that ends at a destination whose
+// row no one takes is walked back from that end, one move per row; the
+// cycles left over take one extra move each. It consumes perm.
 func permute(rows []row, perm []int32) {
+	w := int32(len(perm))
+	for k := range perm {
+		if src := perm[k] &^ permuteNeeded; src < w {
+			perm[src] |= permuteNeeded
+		}
+	}
+	for end := range perm {
+		if perm[end]&permuteNeeded != 0 {
+			continue
+		}
+		for j := int32(end); ; {
+			src := perm[j] &^ permuteNeeded
+			perm[j] = -1
+			rows[j] = rows[src]
+			if src >= w {
+				break
+			}
+			j = src
+		}
+	}
 	for i := range perm {
-		if perm[i] < 0 || int(perm[i]) == i {
+		if perm[i] < 0 {
+			continue
+		}
+		if int(perm[i]&^permuteNeeded) == i {
+			perm[i] = -1
 			continue
 		}
 		tmp := rows[i]
 		j := i
 		for {
-			k := int(perm[j])
+			k := int(perm[j] &^ permuteNeeded)
 			perm[j] = -1
 			if k == i {
 				rows[j] = tmp
@@ -572,35 +651,36 @@ func permute(rows []row, perm []int32) {
 }
 
 // amortize spreads each design's cost over the production of the
-// systems that consume it, designs in key order and each design's
-// denominator summed in portfolio order.
-func amortize(rows []row, systems []system.System, policy Policy) ([]Breakdown, error) {
-	per := make([]Breakdown, len(systems))
+// systems that consume it into per, designs in key order and each
+// design's denominator summed in portfolio order.
+func amortize(rows []row, systems []system.System, policy Policy, per []Breakdown) error {
+	clear(per)
 	for lo := 0; lo < len(rows); {
 		hi := designEnd(rows, lo)
-		d := rows[lo:hi]
+		h := &rows[lo]
 		var denom float64
-		for _, r := range d {
+		for r := lo; r < hi; r++ {
 			switch policy {
 			case PerInstance:
-				denom += systems[r.sys].Quantity * r.inst
+				denom += systems[rows[r].sys].Quantity * rows[r].inst
 			default:
-				denom += systems[r.sys].Quantity
+				denom += systems[rows[r].sys].Quantity
 			}
 		}
 		if denom <= 0 {
-			return nil, fmt.Errorf("nre: design %q has no production volume to amortize over", d[0].key.String())
+			return fmt.Errorf("nre: design %q has no production volume to amortize over", h.key.String())
 		}
-		for _, r := range d {
+		for r := lo; r < hi; r++ {
+			row := &rows[r]
 			var share float64
 			switch policy {
 			case PerInstance:
-				share = d[0].cost * r.inst / denom
+				share = h.cost * row.inst / denom
 			default:
-				share = d[0].cost / denom
+				share = h.cost / denom
 			}
-			b := &per[r.sys]
-			switch d[0].key.kind {
+			b := &per[row.sys]
+			switch h.key.kind {
 			case ModuleDesign:
 				b.Modules += share
 			case ChipDesign:
@@ -613,7 +693,7 @@ func amortize(rows []row, systems []system.System, policy Policy) ([]Breakdown, 
 		}
 		lo = hi
 	}
-	return per, nil
+	return nil
 }
 
 // firstDuplicate returns the index of the first system whose name an
@@ -644,18 +724,18 @@ func firstDuplicate(systems []system.System) int {
 const nameScanMax = 64
 
 // packagePartial prices the system's package for its NRE geometry
-// (substrate plus interposer). It checks the dies as packaging.Package
-// does for zero KGD costs and reads the partial through the partial
-// cache the cost engine shares, so a caller pricing the system's RE
-// can reuse it.
-func (e *Engine) packagePartial(s *system.System) (packaging.Partial, error) {
+// (substrate plus interposer) into *pt. It checks the dies as
+// packaging.Package does for zero KGD costs and reads the partial
+// through the partial cache the cost engine shares, so a caller pricing
+// the system's RE can reuse it.
+func (e *Engine) packagePartial(s *system.System, pt *packaging.Partial) error {
 	n := 0
 	var total float64
 	for j := range s.Placements {
 		p := &s.Placements[j]
 		area := p.Chiplet.DieArea()
 		if err := packaging.CheckDie(n, area, 0); err != nil {
-			return packaging.Partial{}, err
+			return err
 		}
 		for c := 0; c < p.Count; c++ {
 			total += area
@@ -663,7 +743,7 @@ func (e *Engine) packagePartial(s *system.System) (packaging.Partial, error) {
 		n += p.Count
 	}
 	if err := packaging.CheckDieCount(s.Scheme, n); err != nil {
-		return packaging.Partial{}, err
+		return err
 	}
-	return packaging.CachedPartial(e.partials, e.params, e.db, s.PackageKey(n, total))
+	return packaging.CachedPartial(e.partials, &e.params, e.db, s.PackageKey(n, total), pt)
 }

@@ -30,15 +30,15 @@ func NewEngineWithCaches(db *tech.Database, params packaging.Params, partials *p
 func (e *Engine) EvaluateUniform(s system.System, u system.Uniform, policy Policy) (Breakdown, error) {
 	// Error order mirrors the general path: validation (unknown node,
 	// negative quantity), then package geometry, then amortization.
-	node, err := e.db.Node(u.Node)
+	id, err := e.db.NodeID(u.Node)
 	if err != nil {
 		return Breakdown{}, system.WrapUniformNodeErr(s, err)
 	}
 	if s.Quantity < 0 {
 		return Breakdown{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
 	}
-	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, u.PackageKey(s.Scheme, s.Flow))
-	if err != nil {
+	var pt packaging.Partial
+	if err := packaging.CachedPartial(e.partials, &e.params, e.db, u.PackageKey(s.Scheme, s.Flow), &pt); err != nil {
 		return Breakdown{}, err
 	}
 	q := s.Quantity
@@ -54,7 +54,7 @@ func (e *Engine) EvaluateUniform(s system.System, u system.Uniform, policy Polic
 		}
 		return Breakdown{}, fmt.Errorf("nre: design %q has no production volume to amortize over", "chip/"+min)
 	}
-	return AmortizeUniform(&node, u, s.Scheme, &pt, q, policy), nil
+	return AmortizeUniform(e.db.NodeByID(id), u, s.Scheme, &pt, q, policy), nil
 }
 
 // AmortizeUniform is the per-unit NRE of a uniform system on node,

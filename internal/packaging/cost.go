@@ -148,24 +148,17 @@ type PartialKey struct {
 }
 
 // Hash mixes the key for the shard-selection function of a memo
-// cache (FNV-1a over the scalar fields).
+// cache: FNV-1a's multiply folded over whole words (the scheme, flow
+// and die-count word, then the three area words), as the evaluator's
+// shape table hashes its keys. The memo table runs every hash through
+// its own finalizer before picking a shard and an index position, so a
+// byte-at-a-time fold would buy nothing for its 32 multiplies.
 func (k PartialKey) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(k.Scheme)<<32 | uint64(k.Flow)<<16 | uint64(uint32(k.Dies)))
-	mix(math.Float64bits(k.TotalDieAreaMM2))
-	mix(math.Float64bits(k.FootprintOverrideMM2))
-	mix(math.Float64bits(k.InterposerOverrideMM2))
+	h := uint64(14695981039346656037) // FNV-1a's 64-bit offset basis
+	h = (h ^ (uint64(k.Scheme)<<32 | uint64(k.Flow)<<16 | uint64(uint32(k.Dies)))) * memo.HashPrime
+	h = (h ^ math.Float64bits(k.TotalDieAreaMM2)) * memo.HashPrime
+	h = (h ^ math.Float64bits(k.FootprintOverrideMM2)) * memo.HashPrime
+	h = (h ^ math.Float64bits(k.InterposerOverrideMM2)) * memo.HashPrime
 	return h
 }
 
@@ -192,17 +185,22 @@ func NewPartialCache(max int) *PartialCache {
 	return memo.New[PartialKey, PartialOutcome](max, PartialKey.Hash)
 }
 
-// CachedPartial is PartialFor through a (possibly nil) cache.
-func CachedPartial(c *PartialCache, p Params, db *tech.Database, k PartialKey) (Partial, error) {
-	if out, ok := c.Get(k); ok {
+// CachedPartial is PartialFor through a (possibly nil) cache: it
+// writes the partial for k into *pt, which the caller owns, and on an
+// error leaves *pt the zero Partial, as PartialFor returns it. Params
+// (160 bytes) and the partial (104 bytes) pass by pointer.
+func CachedPartial(c *PartialCache, p *Params, db *tech.Database, k PartialKey, pt *Partial) error {
+	var out PartialOutcome
+	if c.Get(k, &out) {
 		if out.Failed {
-			return PartialFor(p, db, k)
+			return p.partial(db, k, pt)
 		}
-		return out.Partial, nil
+		*pt = out.Partial
+		return nil
 	}
-	pt, err := PartialFor(p, db, k)
-	c.Put(k, PartialOutcome{Partial: pt, Failed: err != nil})
-	return pt, err
+	err := p.partial(db, k, pt)
+	c.Put(k, PartialOutcome{Partial: *pt, Failed: err != nil})
+	return err
 }
 
 // Partial is the KGD-independent part of a packaging evaluation: the
@@ -216,12 +214,12 @@ type Partial struct {
 	KGDLossFactor float64
 }
 
-// Apply fills in WastedKGD for an assembly whose dies cost totalKGD,
+// Apply writes into *r the Result of an assembly whose dies cost
+// totalKGD in all: the partial's Result with WastedKGD filled in,
 // reproducing Package's arithmetic bit for bit.
-func (pt Partial) Apply(totalKGD float64) Result {
-	r := pt.Result
+func (pt *Partial) Apply(totalKGD float64, r *Result) {
+	*r = pt.Result
 	r.WastedKGD = totalKGD * pt.KGDLossFactor
-	return r
 }
 
 // PartialFor computes the KGD-independent packaging partial for a
@@ -230,18 +228,30 @@ func (pt Partial) Apply(totalKGD float64) Result {
 // geometry feasibility and depend only on the key, so cached error
 // outcomes replay exactly.
 func PartialFor(p Params, db *tech.Database, k PartialKey) (Partial, error) {
+	var pt Partial
+	err := p.partial(db, k, &pt)
+	return pt, err
+}
+
+// partial is PartialFor writing into *pt, which it leaves the zero
+// Partial on an error.
+func (p *Params) partial(db *tech.Database, k PartialKey, pt *Partial) error {
+	var err error
 	switch k.Scheme {
 	case SoC, MCM:
-		return p.organicPartial(k)
+		err = p.organicPartial(k, pt)
 	case InFO, TwoPointFiveD:
-		node, err := db.Node(k.Scheme.InterposerNode())
-		if err != nil {
-			return Partial{}, err
+		var id int
+		if id, err = db.NodeID(k.Scheme.InterposerNode()); err == nil {
+			err = p.interposedPartial(k, db.NodeByID(id), pt)
 		}
-		return p.interposedPartial(k, node)
 	default:
-		return Partial{}, fmt.Errorf("packaging: unknown scheme %v", k.Scheme)
+		err = fmt.Errorf("packaging: unknown scheme %v", k.Scheme)
 	}
+	if err != nil {
+		*pt = Partial{}
+	}
+	return err
 }
 
 // Package computes the packaging cost of assembling the given dies
@@ -257,25 +267,27 @@ func Package(p Params, db *tech.Database, s Scheme, f Flow, a Assembly) (Result,
 	if err := CheckDieCount(s, len(a.DieAreasMM2)); err != nil {
 		return Result{}, err
 	}
-	pt, err := PartialFor(p, db, PartialKey{
+	var pt Partial
+	if err := p.partial(db, PartialKey{
 		Scheme:                s,
 		Flow:                  f,
 		Dies:                  len(a.DieAreasMM2),
 		TotalDieAreaMM2:       a.TotalDieArea(),
 		FootprintOverrideMM2:  a.FootprintOverrideMM2,
 		InterposerOverrideMM2: a.InterposerOverrideMM2,
-	})
-	if err != nil {
+	}, &pt); err != nil {
 		return Result{}, err
 	}
-	return pt.Apply(a.TotalKGDCost()), nil
+	var r Result
+	pt.Apply(a.TotalKGDCost(), &r)
+	return r, nil
 }
 
 // organicPartial prices a die-on-substrate package (SoC or MCM). Dies
 // attach directly to the substrate in one bonding stage; the MCM
 // substrate carries extra routing layers (the paper's substrate
-// growth factor).
-func (p Params) organicPartial(k PartialKey) (Partial, error) {
+// growth factor). It writes *pt only when it returns no error.
+func (p *Params) organicPartial(k PartialKey, pt *Partial) error {
 	n := k.Dies
 	s := k.Scheme
 	footprint := k.TotalDieAreaMM2
@@ -284,14 +296,14 @@ func (p Params) organicPartial(k PartialKey) (Partial, error) {
 	}
 	if k.FootprintOverrideMM2 > 0 {
 		if k.FootprintOverrideMM2 < footprint {
-			return Partial{}, fmt.Errorf("packaging: reused footprint %.0f mm² cannot hold %.0f mm² of dies",
+			return fmt.Errorf("packaging: reused footprint %.0f mm² cannot hold %.0f mm² of dies",
 				k.FootprintOverrideMM2, footprint)
 		}
 		footprint = k.FootprintOverrideMM2
 	}
 	substrate := footprint * p.PackageAreaScale
 	if substrate > p.MaxSubstrateMM2 {
-		return Partial{}, fmt.Errorf("packaging: %v substrate %.0f mm² exceeds maximum %.0f mm²",
+		return fmt.Errorf("packaging: %v substrate %.0f mm² exceeds maximum %.0f mm²",
 			s, substrate, p.MaxSubstrateMM2)
 	}
 	layers := p.SoCSubstrateLayers
@@ -304,7 +316,7 @@ func (p Params) organicPartial(k PartialKey) (Partial, error) {
 
 	y := yield.Bonding(p.FlipChipBondYield, n) * p.FinalTestYield
 	loss := 1/y - 1
-	return Partial{
+	*pt = Partial{
 		Result: Result{
 			Scheme:           s,
 			RawPackage:       raw,
@@ -316,7 +328,8 @@ func (p Params) organicPartial(k PartialKey) (Partial, error) {
 			AssemblyCost:     assembly,
 		},
 		KGDLossFactor: loss,
-	}, nil
+	}
+	return nil
 }
 
 // interposedPartial prices an InFO or 2.5D package per Eq. (4)/(5).
@@ -324,14 +337,15 @@ func (p Params) organicPartial(k PartialKey) (Partial, error) {
 // first (losses y1 affect only interposer spend), dies bond at y2
 // each, and the assembly attaches to the substrate at y3. In the
 // chip-first flow the RDL is built after the dies are molded, so
-// interposer defects destroy dies too.
-func (p Params) interposedPartial(k PartialKey, node tech.Node) (Partial, error) {
+// interposer defects destroy dies too. On an error it may leave *pt
+// partly written; partial zeroes it.
+func (p *Params) interposedPartial(k PartialKey, node *tech.Node, pt *Partial) error {
 	n := k.Dies
 	s, f := k.Scheme, k.Flow
 	interposer := k.TotalDieAreaMM2 * p.InterposerFill
 	if k.InterposerOverrideMM2 > 0 {
 		if k.InterposerOverrideMM2 < interposer {
-			return Partial{}, fmt.Errorf("packaging: reused interposer %.0f mm² cannot hold %.0f mm² of dies",
+			return fmt.Errorf("packaging: reused interposer %.0f mm² cannot hold %.0f mm² of dies",
 				k.InterposerOverrideMM2, interposer)
 		}
 		interposer = k.InterposerOverrideMM2
@@ -339,18 +353,18 @@ func (p Params) interposedPartial(k PartialKey, node tech.Node) (Partial, error)
 	// Same rule as Params.InterposerFits, applied to the (possibly
 	// overridden) interposer size.
 	if interposer > p.MaxInterposerMM2 {
-		return Partial{}, fmt.Errorf("packaging: %v interposer %.0f mm² exceeds maximum %.0f mm²",
+		return fmt.Errorf("packaging: %v interposer %.0f mm² exceeds maximum %.0f mm²",
 			s, interposer, p.MaxInterposerMM2)
 	}
 	substrate := interposer * p.PackageAreaScale
 	if substrate > p.MaxSubstrateMM2 {
-		return Partial{}, fmt.Errorf("packaging: %v substrate %.0f mm² exceeds maximum %.0f mm²",
+		return fmt.Errorf("packaging: %v substrate %.0f mm² exceeds maximum %.0f mm²",
 			s, substrate, p.MaxSubstrateMM2)
 	}
 
 	perInt, err := p.Wafer.CostPerRawDie(p.Estimator, node.WaferCost, interposer)
 	if err != nil {
-		return Partial{}, fmt.Errorf("packaging: interposer: %w", err)
+		return fmt.Errorf("packaging: interposer: %w", err)
 	}
 	// "The bump cost ... counted twice on the chip side and the
 	// substrate side" (§3.2): the interposer carries its own bumping
@@ -363,7 +377,7 @@ func (p Params) interposedPartial(k PartialKey, node tech.Node) (Partial, error)
 	y2n := yield.Bonding(p.MicroBumpBondYield, n)
 	y3 := p.SubstrateAttachYield * p.FinalTestYield
 
-	pt := Partial{Result: Result{
+	*pt = Partial{Result: Result{
 		Scheme:            s,
 		Flow:              f,
 		FootprintMM2:      interposer,
@@ -392,7 +406,7 @@ func (p Params) interposedPartial(k PartialKey, node tech.Node) (Partial, error)
 			rawSub*(1/y3-1)
 		pt.KGDLossFactor = 1/(y1*y2n*y3) - 1
 	default:
-		return Partial{}, fmt.Errorf("packaging: unknown flow %v", f)
+		return fmt.Errorf("packaging: unknown flow %v", f)
 	}
-	return pt, nil
+	return nil
 }

@@ -364,7 +364,8 @@ func TestCachedPartialReplaysFailure(t *testing.T) {
 		t.Fatal("an oversized interposer priced")
 	}
 	for pass := 0; pass < 3; pass++ {
-		pt, err := CachedPartial(c, p, db(t), k)
+		var pt Partial
+		err := CachedPartial(c, &p, db(t), k, &pt)
 		if pt != wantPt || fmt.Sprint(err) != wantErr.Error() {
 			t.Fatalf("pass %d: %+v, %v; want %+v, %v", pass, pt, err, wantPt, wantErr)
 		}

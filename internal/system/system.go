@@ -7,6 +7,7 @@ package system
 
 import (
 	"fmt"
+	"math"
 
 	"chipletactuary/internal/dtod"
 	"chipletactuary/internal/packaging"
@@ -59,39 +60,49 @@ type Chiplet struct {
 }
 
 // ModuleArea returns the summed functional-module area.
-func (c Chiplet) ModuleArea() float64 {
+//
+// The chiplet's area and validation methods take a pointer: a Chiplet
+// is 80 bytes, and the pricing walks call them once per placement.
+func (c *Chiplet) ModuleArea() float64 {
 	var sum float64
-	for _, m := range c.Modules {
-		sum += m.AreaMM2
+	for i := range c.Modules {
+		sum += c.Modules[i].AreaMM2
 	}
 	return sum
 }
 
 // D2DArea returns the interface area for this chiplet.
-func (c Chiplet) D2DArea() float64 {
+func (c *Chiplet) D2DArea() float64 {
+	return c.d2dArea(c.ModuleArea())
+}
+
+// d2dArea is D2DArea for a chiplet whose module area is moduleArea.
+func (c *Chiplet) d2dArea(moduleArea float64) float64 {
 	if c.D2D == nil {
 		return 0
 	}
-	return c.D2D.Area(c.ModuleArea())
+	return c.D2D.Area(moduleArea)
 }
 
 // DieArea returns the total die area: modules plus D2D.
-func (c Chiplet) DieArea() float64 {
-	return c.ModuleArea() + c.D2DArea()
+func (c *Chiplet) DieArea() float64 {
+	m := c.ModuleArea()
+	return m + c.d2dArea(m)
 }
 
 // Validate checks the chiplet against the technology database.
-func (c Chiplet) Validate(db *tech.Database) error {
+func (c *Chiplet) Validate(db *tech.Database) error {
 	if c.Name == "" {
 		return fmt.Errorf("system: chiplet with empty name")
 	}
-	if _, err := db.Node(c.Node); err != nil {
+	if _, err := db.NodeID(c.Node); err != nil {
 		return fmt.Errorf("system: chiplet %q: %w", c.Name, err)
 	}
 	if len(c.Modules) == 0 {
 		return fmt.Errorf("system: chiplet %q has no modules", c.Name)
 	}
-	for _, m := range c.Modules {
+	for i := range c.Modules {
+		m := &c.Modules[i]
 		if m.Name == "" {
 			return fmt.Errorf("system: chiplet %q has an unnamed module", c.Name)
 		}
@@ -116,7 +127,7 @@ func (c Chiplet) Validate(db *tech.Database) error {
 // reticle. The paper's Figure 4 deliberately models SoCs up to
 // 900 mm², slightly past the reticle, so this is advisory rather than
 // a validation failure; exploration code treats it as a hard bound.
-func (c Chiplet) Warnings() []string {
+func (c *Chiplet) Warnings() []string {
 	var w []string
 	if area := c.DieArea(); area > wafer.ReticleLimitMM2 {
 		w = append(w, fmt.Sprintf("chiplet %q die area %.0f mm² exceeds the reticle limit %.0f mm²",
@@ -166,10 +177,14 @@ type System struct {
 }
 
 // DieCount returns the number of dies in the package.
+//
+// System's methods keep value receivers, so that they can be called on
+// a System that is not addressable, and reach each 88-byte placement
+// by index rather than copying it.
 func (s System) DieCount() int {
 	n := 0
-	for _, p := range s.Placements {
-		n += p.Count
+	for i := range s.Placements {
+		n += s.Placements[i].Count
 	}
 	return n
 }
@@ -177,8 +192,9 @@ func (s System) DieCount() int {
 // Dies returns the chiplet of every mounted die, expanded by count.
 func (s System) Dies() []Chiplet {
 	out := make([]Chiplet, 0, s.DieCount())
-	for _, p := range s.Placements {
-		for i := 0; i < p.Count; i++ {
+	for i := range s.Placements {
+		p := &s.Placements[i]
+		for j := 0; j < p.Count; j++ {
 			out = append(out, p.Chiplet)
 		}
 	}
@@ -188,7 +204,8 @@ func (s System) Dies() []Chiplet {
 // TotalDieArea returns the summed die area over all placements.
 func (s System) TotalDieArea() float64 {
 	var sum float64
-	for _, p := range s.Placements {
+	for i := range s.Placements {
+		p := &s.Placements[i]
 		sum += float64(p.Count) * p.Chiplet.DieArea()
 	}
 	return sum
@@ -197,7 +214,8 @@ func (s System) TotalDieArea() float64 {
 // TotalModuleArea returns the summed functional-module area.
 func (s System) TotalModuleArea() float64 {
 	var sum float64
-	for _, p := range s.Placements {
+	for i := range s.Placements {
+		p := &s.Placements[i]
 		sum += float64(p.Count) * p.Chiplet.ModuleArea()
 	}
 	return sum
@@ -208,10 +226,11 @@ func (s System) TotalModuleArea() float64 {
 func (s System) UniqueChiplets() []Chiplet {
 	seen := make(map[string]bool, len(s.Placements))
 	var out []Chiplet
-	for _, p := range s.Placements {
-		if !seen[p.Chiplet.Name] {
-			seen[p.Chiplet.Name] = true
-			out = append(out, p.Chiplet)
+	for i := range s.Placements {
+		c := &s.Placements[i].Chiplet
+		if !seen[c.Name] {
+			seen[c.Name] = true
+			out = append(out, *c)
 		}
 	}
 	return out
@@ -230,8 +249,9 @@ func (s System) PackageName() string {
 // chiplets (one entry per distinct chiplet design).
 func (s System) Warnings() []string {
 	var w []string
-	for _, c := range s.UniqueChiplets() {
-		w = append(w, c.Warnings()...)
+	chiplets := s.UniqueChiplets()
+	for i := range chiplets {
+		w = append(w, chiplets[i].Warnings()...)
 	}
 	return w
 }
@@ -244,7 +264,8 @@ func (s System) Validate(db *tech.Database) error {
 	if len(s.Placements) == 0 {
 		return fmt.Errorf("system: %q has no placements", s.Name)
 	}
-	for _, p := range s.Placements {
+	for i := range s.Placements {
+		p := &s.Placements[i]
 		if p.Count <= 0 {
 			return fmt.Errorf("system: %q places %q with non-positive count %d",
 				s.Name, p.Chiplet.Name, p.Count)
@@ -259,12 +280,21 @@ func (s System) Validate(db *tech.Database) error {
 	if s.Quantity < 0 {
 		return fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
 	}
-	if s.Envelope != nil {
-		if s.Envelope.Name == "" {
+	if env := s.Envelope; env != nil {
+		if env.Name == "" {
 			return fmt.Errorf("system: %q reuses an unnamed package envelope", s.Name)
 		}
-		if s.Envelope.FootprintMM2 <= 0 {
+		// Packaging applies an override only above zero, so a broken
+		// envelope would otherwise price as a right-sized package.
+		switch fp, ip := env.FootprintMM2, env.InterposerAreaMM2; {
+		case fp <= 0:
 			return fmt.Errorf("system: %q envelope has non-positive footprint", s.Name)
+		case math.IsNaN(fp) || math.IsInf(fp, 0):
+			return fmt.Errorf("system: %q envelope has non-finite footprint %v", s.Name, fp)
+		case math.IsNaN(ip) || math.IsInf(ip, 0):
+			return fmt.Errorf("system: %q envelope has non-finite interposer area %v", s.Name, ip)
+		case ip < 0:
+			return fmt.Errorf("system: %q envelope has negative interposer area %v", s.Name, ip)
 		}
 	}
 	// Chiplet names must be used consistently: one name, one design.

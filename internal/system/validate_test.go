@@ -112,6 +112,39 @@ func TestValidateRepeatsNaNDie(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBrokenEnvelope checks that a reused package
+// envelope must have a finite footprint above zero and a finite
+// interposer area of zero or more, and that the error names the system
+// and the field. Packaging applies an override only above zero, so each
+// broken envelope below used to validate and price as a right-sized
+// package.
+func TestValidateRejectsBrokenEnvelope(t *testing.T) {
+	c := system.Chiplet{Name: "d", Node: "7nm", Modules: []system.Module{{Name: "m", AreaMM2: 200}}}
+	for _, tc := range []struct {
+		footprint, interposer float64
+		want                  string
+	}{
+		{1500, 1000, ""},
+		{1500, 0, ""},
+		{0, 1000, `system: "s" envelope has non-positive footprint`},
+		{-1, 1000, `system: "s" envelope has non-positive footprint`},
+		{math.Inf(-1), 1000, `system: "s" envelope has non-positive footprint`},
+		{math.NaN(), 1000, `system: "s" envelope has non-finite footprint NaN`},
+		{math.Inf(1), 1000, `system: "s" envelope has non-finite footprint +Inf`},
+		{1500, -100, `system: "s" envelope has negative interposer area -100`},
+		{1500, math.NaN(), `system: "s" envelope has non-finite interposer area NaN`},
+		{1500, math.Inf(1), `system: "s" envelope has non-finite interposer area +Inf`},
+		{1500, math.Inf(-1), `system: "s" envelope has non-finite interposer area -Inf`},
+	} {
+		s := system.System{Name: "s", Scheme: packaging.TwoPointFiveD, Quantity: 1,
+			Placements: []system.Placement{{Chiplet: c, Count: 2}},
+			Envelope:   &system.Envelope{Name: "E", FootprintMM2: tc.footprint, InterposerAreaMM2: tc.interposer}}
+		if got := fmt.Sprint(s.Validate(tech.Default())); tc.want == "" && got != "<nil>" || tc.want != "" && got != tc.want {
+			t.Errorf("footprint %v, interposer %v: %s, want %q", tc.footprint, tc.interposer, got, tc.want)
+		}
+	}
+}
+
 var sinkErr error
 
 // TestValidateAllocations pins Validate at zero allocations on valid

@@ -69,12 +69,13 @@ type Node struct {
 }
 
 // YieldModel returns the node's Negative Binomial yield model (Eq. 1).
-func (n Node) YieldModel() yield.Model {
+// It and Yield take a pointer, as a Node is 96 bytes.
+func (n *Node) YieldModel() yield.Model {
 	return yield.NegBinomial{D: n.DefectDensity, C: n.Cluster}
 }
 
 // Yield is shorthand for YieldModel().Yield.
-func (n Node) Yield(areaMM2 float64) float64 {
+func (n *Node) Yield(areaMM2 float64) float64 {
 	return n.YieldModel().Yield(areaMM2)
 }
 
@@ -168,8 +169,11 @@ func (db *Database) NodeID(name string) (int, error) {
 	return id, nil
 }
 
-// NodeByID returns the node with the given id, 0 ≤ id < Len().
-func (db *Database) NodeByID(id int) Node { return db.nodes[id] }
+// NodeByID returns the node with the given id, 0 ≤ id < Len(). The
+// node is the database's own and is read-only: a caller must not write
+// through the pointer. Hot paths look a node up by name once (NodeID)
+// and then read it here, instead of copying it out with Node.
+func (db *Database) NodeByID(id int) *Node { return &db.nodes[id] }
 
 // Len returns the number of nodes; their ids are 0 … Len()-1.
 func (db *Database) Len() int { return len(db.nodes) }
