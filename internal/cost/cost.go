@@ -398,7 +398,7 @@ func (e *Engine) reSlow(s *system.System, b *Breakdown) error {
 		*b = Breakdown{}
 		return err
 	}
-	return e.placements(s, nil, b)
+	return e.placements(s, nil, nil, b)
 }
 
 // REPackaged is RE into *b for a system that has passed System.Validate
@@ -407,29 +407,38 @@ func (e *Engine) reSlow(s *system.System, b *Breakdown) error {
 // package. It skips the validation, the uniform proof and the partial
 // probe RE would repeat, and answers bit for bit as RE does, with the
 // same errors and the same KGD counters.
-func (e *Engine) REPackaged(s *system.System, pt *packaging.Partial, b *Breakdown) error {
-	return e.placements(s, pt, b)
+//
+// b.Dies becomes dies, which must hold exactly s.DieCount() entries,
+// when dies is non-nil, so that a caller pricing many systems can carve
+// every Dies from one block; a nil dies allocates b.Dies. On an error
+// the contents of dies are unspecified.
+func (e *Engine) REPackaged(s *system.System, pt *packaging.Partial, dies []DieCost, b *Breakdown) error {
+	return e.placements(s, pt, dies, b)
 }
 
 // placements is the general per-placement walk behind reSlow and
-// REPackaged. It prices each placement's die once, straight into its
-// first slot of b.Dies, and books the other Count−1 copies as the KGD
-// hits a per-die walk would make; it lays out every die in die order,
-// checks the dies' KGD costs as packaging.Package would, and applies
-// the package partial: pt when the caller has priced it (and so checked
-// the dies' areas and count), otherwise one probe of the partial cache
-// after those checks.
-func (e *Engine) placements(s *system.System, pt *packaging.Partial, b *Breakdown) error {
-	err := e.walkDies(s, pt, b)
+// REPackaged, with b.Dies taken from dies unless it is nil. It prices
+// each placement's die once, straight into its first slot of b.Dies,
+// and books the other Count−1 copies as the KGD hits a per-die walk
+// would make; it lays out every die in die order, checks the dies' KGD
+// costs as packaging.Package would, and applies the package partial: pt
+// when the caller has priced it (and so checked the dies' areas and
+// count), otherwise one probe of the partial cache after those checks.
+func (e *Engine) placements(s *system.System, pt *packaging.Partial, dies []DieCost, b *Breakdown) error {
+	err := e.walkDies(s, pt, dies, b)
 	if err != nil {
 		*b = Breakdown{}
 	}
 	return err
 }
 
-// walkDies is placements, which zeroes *b on an error.
-func (e *Engine) walkDies(s *system.System, pt *packaging.Partial, b *Breakdown) error {
-	*b = Breakdown{Dies: make([]DieCost, s.DieCount())}
+// walkDies is placements, which zeroes *b on an error. Every entry of
+// b.Dies is written whole, so dies need not be zero.
+func (e *Engine) walkDies(s *system.System, pt *packaging.Partial, dies []DieCost, b *Breakdown) error {
+	if dies == nil {
+		dies = make([]DieCost, s.DieCount())
+	}
+	*b = Breakdown{Dies: dies}
 	var tally cacheTally
 	var totalArea, totalKGD float64
 	n := 0

@@ -176,7 +176,7 @@ func (e *Evaluator) single(s *system.System, policy nre.Policy, tc *TotalCost) e
 		return err
 	}
 	tc.NRE = per[0]
-	return e.Cost.REPackaged(s, &pkg[0], &tc.RE)
+	return e.Cost.REPackaged(s, &pkg[0], nil, &tc.RE)
 }
 
 // Portfolio evaluates a family of systems that share designs, keyed by
@@ -186,6 +186,11 @@ func (e *Evaluator) single(s *system.System, policy nre.Policy, tc *TotalCost) e
 // walk, which neither validates nor probes again. Results and errors
 // are bit for bit those of NRE.Portfolio followed by Cost.RE on each
 // member in order.
+//
+// Every member's RE.Dies is carved from one block, each capped at its
+// length, so appending to or writing through one never reaches
+// another; retaining one member's TotalCost keeps the whole block
+// alive.
 func (e *Evaluator) Portfolio(systems []system.System, policy nre.Policy) (map[string]TotalCost, error) {
 	// The partials and per-unit NRE live on the stack up to 64
 	// members, in buffers sized to the portfolio, so a small portfolio
@@ -206,17 +211,26 @@ func (e *Evaluator) Portfolio(systems []system.System, policy nre.Policy) (map[s
 
 // portfolio is Portfolio with room for each member's package partial
 // and per-unit NRE. It builds each member's TotalCost in one place and
-// copies it once, into the result map.
+// copies it once, into the result map. System.Validate, which the NRE
+// walk has run on every member, bounds each member's dies by
+// system.MaxPartitionCount, and so the Dies block.
 func (e *Evaluator) portfolio(systems []system.System, policy nre.Policy, pkgs []packaging.Partial, per []nre.Breakdown) (map[string]TotalCost, error) {
 	if err := e.NRE.PerUnitPackaged(systems, policy, pkgs, per); err != nil {
 		return nil, err
 	}
+	total := 0
+	for i := range systems {
+		total += systems[i].DieCount()
+	}
+	dies := make([]cost.DieCost, total)
 	out := make(map[string]TotalCost, len(systems))
 	var tc TotalCost
 	for i := range systems {
-		if err := e.Cost.REPackaged(&systems[i], &pkgs[i], &tc.RE); err != nil {
+		n := systems[i].DieCount()
+		if err := e.Cost.REPackaged(&systems[i], &pkgs[i], dies[:n:n], &tc.RE); err != nil {
 			return nil, err
 		}
+		dies = dies[n:]
 		tc.NRE = per[i]
 		out[systems[i].Name] = tc
 	}

@@ -23,6 +23,15 @@ func dirtyBreakdown() cost.Breakdown {
 	return cost.Breakdown{RawChips: -1, WastedKGD: -2, Dies: []cost.DieCost{{Name: "stale", Raw: -3}}}
 }
 
+// dirtyDies is a block of n die costs no pricing call produces.
+func dirtyDies(n int) []cost.DieCost {
+	dies := make([]cost.DieCost, n)
+	for i := range dies {
+		dies[i] = cost.DieCost{Name: "stale", Raw: -3}
+	}
+	return dies
+}
+
 // TestErrorsReturnZero checks that every pricing entry point returns its
 // zero value together with its error, and that the functions filling a
 // caller's Breakdown leave it zero: a half-filled result must never
@@ -67,10 +76,14 @@ func TestErrorsReturnZero(t *testing.T) {
 		// priced the package of.
 		var pkg [1]packaging.Partial
 		var per [1]nre.Breakdown
+		// Both its own Dies and a caller's block must leave *b zero on
+		// an error.
 		if ev.NRE.PerUnitPackaged([]system.System{s}, policy, pkg[:], per[:]) == nil {
-			b := dirtyBreakdown()
-			err := ev.Cost.REPackaged(&s, &pkg[0], &b)
-			check(where, "Cost.REPackaged", fmt.Sprintf("%#v", b), zeroRE, err)
+			for _, dies := range [][]cost.DieCost{nil, dirtyDies(s.DieCount())} {
+				b := dirtyBreakdown()
+				err := ev.Cost.REPackaged(&s, &pkg[0], dies, &b)
+				check(where, "Cost.REPackaged", fmt.Sprintf("%#v", b), zeroRE, err)
+			}
 		}
 	}
 	mk := func(ev *Evaluator, err error) *Evaluator {
@@ -116,7 +129,10 @@ func TestErrorsReturnZero(t *testing.T) {
 // and one reuse family twice each, then writes through every Dies slice
 // of the first answers. The second answers must not change, and a third
 // pricing must equal the second: no two answers share a buffer, and no
-// answer aliases a table entry.
+// answer aliases a table entry. Within one Portfolio call, whose
+// members' Dies share one block, appending to or writing through one
+// member's Dies must change no other member's, for general families and
+// for SoC twins alike.
 func TestResultsOwnTheirDies(t *testing.T) {
 	params := packaging.DefaultParams()
 	uniform, err := system.PartitionEqual("u", "7nm", 600, 4, packaging.TwoPointFiveD, dtod.Fraction{F: 0.1}, 1e6)
@@ -177,6 +193,31 @@ func TestResultsOwnTheirDies(t *testing.T) {
 		if got := portfolioOutcome(ev.Portfolio(set, nre.PerSystemUnit)); got != want {
 			t.Fatalf("Portfolio after the write:\n got %s\nwant %s", got, want)
 		}
+		for _, name := range []string{"OCME shared package", "SCMS", "FSMC 3x4", "SCMS SoC twins", "FSMC 3x4 SoC twins"} {
+			m, err := ev.Portfolio(families[name], nre.PerSystemUnit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]string{}
+			for member, tc := range m {
+				want[member] = fmt.Sprintf("%#v", tc)
+			}
+			for _, s := range families[name] {
+				dies := m[s.Name].RE.Dies
+				if cap(dies) != len(dies) {
+					t.Fatalf("%s %s: Dies len %d cap %d", name, s.Name, len(dies), cap(dies))
+				}
+				grown := append(dies, cost.DieCost{Name: "appended", Raw: -4})
+				scribble(dies)
+				scribble(grown[len(dies):])
+				for member, tc := range m {
+					if member != s.Name && fmt.Sprintf("%#v", tc) != want[member] {
+						t.Fatalf("%s: writing through %s's Dies changed %s:\n got %#v\nwant %s", name, s.Name, member, tc, want[member])
+					}
+				}
+				want[s.Name] = fmt.Sprintf("%#v", m[s.Name])
+			}
+		}
 	}
 }
 
@@ -187,8 +228,8 @@ func TestResultsOwnTheirDies(t *testing.T) {
 // Cost.RE on a cache-less one, by %#v bytes and by error string; and
 // Single on each member must equal the member's one-member Portfolio.
 // The seeds are marshalled systemtest portfolios. An input that mounts
-// more than system.MaxPartitionCount dies in one placement is skipped,
-// so that a fuzz call stays small.
+// more than system.MaxPartitionCount dies fails validation on both
+// sides, so a fuzz call stays small.
 func FuzzPortfolioPricing(f *testing.F) {
 	gen := systemtest.New(31)
 	for added := 0; added < 24; {
@@ -219,13 +260,6 @@ func FuzzPortfolioPricing(f *testing.F) {
 		var set []system.System
 		if err := wirejson.UnmarshalStrict(data, &set); err != nil {
 			return
-		}
-		for i := range set {
-			for j := range set[i].Placements {
-				if set[i].Placements[j].Count > system.MaxPartitionCount {
-					return
-				}
-			}
 		}
 		policy := nre.Policy(len(data) % 2)
 		want := portfolioOutcome(twoStep(ref, set, policy))

@@ -67,12 +67,12 @@ func reuseFamilies(tb testing.TB, params packaging.Params) map[string][]system.S
 }
 
 // TestPortfolioAllocations pins a warm-cache Portfolio of the paper's
-// §5 reuse families at no more than two allocations per system, its
-// Breakdown.Dies slice and its entry in the result map (a TotalCost is
-// too wide for the map to hold inline), plus four per portfolio: the
-// result map's tables. The package partials and per-unit NRE the walk
-// hands to RE, and the families' claim rows (up to 256), stay on the
-// stack.
+// §5 reuse families at no more than one allocation per system, its
+// entry in the result map (a TotalCost is too wide for the map to hold
+// inline), plus five per portfolio: the one block every member's
+// Breakdown.Dies is carved from, and the result map's tables. The
+// package partials and per-unit NRE the walk hands to RE, and the
+// families' claim rows (up to 256), stay on the stack.
 func TestPortfolioAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector adds allocations")
@@ -90,7 +90,7 @@ func TestPortfolioAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if limit := float64(2*len(set) + 4); n > limit {
+		if limit := float64(len(set) + 5); n > limit {
 			t.Errorf("%s: %v allocations for %d systems, want ≤ %v", name, n, len(set), limit)
 		} else {
 			t.Logf("%s: %v allocations for %d systems", name, n, len(set))

@@ -126,6 +126,46 @@ func TestCollocationsBound(t *testing.T) {
 	}
 }
 
+// checkOneSlab checks that a family's members carve their placements
+// from one slab: each capped at its length, in member order, and
+// adjacent in memory.
+func checkOneSlab(t *testing.T, family string, systems []system.System) {
+	t.Helper()
+	for i, s := range systems {
+		if cap(s.Placements) != len(s.Placements) {
+			t.Fatalf("%s %s: cap %d, len %d", family, s.Name, cap(s.Placements), len(s.Placements))
+		}
+		if i > 0 {
+			prev := systems[i-1].Placements
+			end := reflect.ValueOf(prev).Pointer() + uintptr(len(prev))*reflect.TypeOf(prev).Elem().Size()
+			if reflect.ValueOf(s.Placements).Pointer() != end {
+				t.Fatalf("%s %s: placements do not follow %s's in one slab", family, s.Name, systems[i-1].Name)
+			}
+		}
+	}
+}
+
+// TestSCMSAndOCMEPlacementsFromOneSlab checks that SCMS and OCME carve
+// their members' placements from one slab, as FSMC does, with and
+// without a shared package.
+func TestSCMSAndOCMEPlacementsFromOneSlab(t *testing.T) {
+	params := packaging.DefaultParams()
+	for _, shared := range []bool{false, true} {
+		scms, err := SCMS(SCMSConfig{Node: "7nm", ModuleAreaMM2: 150, Counts: []int{4, 1, 2, 2},
+			Scheme: packaging.MCM, QuantityPerSystem: 5e5, ReusePackage: shared, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOneSlab(t, "SCMS", scms)
+		ocme, err := OCME(OCMEConfig{Node: "7nm", CenterNode: "14nm", SocketAreaMM2: 120,
+			Scheme: packaging.TwoPointFiveD, QuantityPerSystem: 5e5, ReusePackage: shared, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOneSlab(t, "OCME", ocme)
+	}
+}
+
 // TestFSMCPlacementsFromOneSlab checks that FSMC's members carve their
 // placements from one slab: each capped at its length, in collocation
 // order, and adjacent in memory.
@@ -156,29 +196,62 @@ func TestFSMCPlacementsFromOneSlab(t *testing.T) {
 	}
 }
 
-var sinkSystems []system.System
+var (
+	sinkSystems []system.System
+	sinkSystem  system.System
+)
 
-// TestFamilyBuilderAllocations pins the allocations of FSMC, the §5
-// builder with the most members: it lays its collocations, modules and
-// placements out in one array each and formats each name once, so a
-// family of n members over t chiplet types costs n + 2t + 9
-// allocations, one label per member and two names per type.
+// TestFamilyBuilderAllocations pins the allocations of each §5 builder
+// at a constant per family, whatever its size: every builder carves
+// its members' placements from one slab and slices every name it
+// formats from one string. FSMC lays its collocations (two arrays),
+// chiplets, modules, placements, members, names and envelope out in one
+// allocation each; SCMS and OCME their modules, placements, members and
+// names, plus the envelope when the family shares a package. An SoC
+// twin costs two: the block its placement and module share, and its
+// names.
 func TestFamilyBuilderAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector adds allocations")
 	}
 	params := packaging.DefaultParams()
-	for _, types := range []int{2, 3} {
-		cfg := FSMCConfig{Node: "5nm", ModuleAreaMM2: 100, Types: types, Sockets: 4,
-			Scheme: packaging.InFO, QuantityPerSystem: 5e5, Params: params}
+	pin := func(name string, want float64, build func() ([]system.System, error)) {
+		t.Helper()
 		var err error
 		n := testing.AllocsPerRun(50, func() {
-			if sinkSystems, err = FSMC(cfg); err != nil {
+			if sinkSystems, err = build(); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if want := float64(len(sinkSystems) + 2*types + 9); n != want {
-			t.Errorf("FSMC %dx4: %v allocations for %d members, want %v", types, n, len(sinkSystems), want)
+		if n != want {
+			t.Errorf("%s: %v allocations for %d members, want %v", name, n, len(sinkSystems), want)
+		}
+	}
+	for _, types := range []int{2, 3} {
+		cfg := FSMCConfig{Node: "5nm", ModuleAreaMM2: 100, Types: types, Sockets: 4,
+			Scheme: packaging.InFO, QuantityPerSystem: 5e5, Params: params}
+		pin(fmt.Sprintf("FSMC %dx4", types), 8, func() ([]system.System, error) { return FSMC(cfg) })
+	}
+	for _, shared := range []bool{false, true} {
+		env := 0.0
+		if shared {
+			env = 1
+		}
+		scms := SCMSConfig{Node: "7nm", ModuleAreaMM2: 150, Counts: []int{1, 2, 4, 8, 16},
+			Scheme: packaging.MCM, QuantityPerSystem: 5e5, ReusePackage: shared, Params: params}
+		pin(fmt.Sprintf("SCMS, shared package %v", shared), 4+env, func() ([]system.System, error) { return SCMS(scms) })
+		ocme := OCMEConfig{Node: "7nm", CenterNode: "14nm", SocketAreaMM2: 120,
+			Scheme: packaging.TwoPointFiveD, QuantityPerSystem: 5e5, ReusePackage: shared, Params: params}
+		pin(fmt.Sprintf("OCME, shared package %v", shared), 4+env, func() ([]system.System, error) { return OCME(ocme) })
+	}
+	fsmc, err := FSMC(FSMCConfig{Node: "5nm", ModuleAreaMM2: 100, Types: 3, Sockets: 4,
+		Scheme: packaging.InFO, QuantityPerSystem: 5e5, Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range fsmc {
+		if n := testing.AllocsPerRun(50, func() { sinkSystem = SoCEquivalent(s, "5nm") }); n != 2 {
+			t.Errorf("SoCEquivalent(%s): %v allocations, want 2", s.Name, n)
 		}
 	}
 }

@@ -69,12 +69,17 @@ func (c Collocation) Size() int {
 // Label renders a stable human-readable name such as "T1x2+T3".
 func (c Collocation) Label() string {
 	var buf [32]byte
-	b := buf[:0]
+	return string(c.appendLabel(buf[:0]))
+}
+
+// appendLabel appends the collocation's label to b.
+func (c Collocation) appendLabel(b []byte) []byte {
+	start := len(b)
 	for t, v := range c.Counts {
 		if v < 1 {
 			continue
 		}
-		if len(b) > 0 {
+		if len(b) > start {
 			b = append(b, '+')
 		}
 		b = append(b, 'T')
@@ -84,7 +89,34 @@ func (c Collocation) Label() string {
 			b = strconv.AppendInt(b, int64(v), 10)
 		}
 	}
-	return string(b)
+	return b
+}
+
+// labelLen returns len(c.Label()) without building the label.
+func (c Collocation) labelLen() int {
+	n := 0
+	for t, v := range c.Counts {
+		if v < 1 {
+			continue
+		}
+		if n > 0 {
+			n++ // '+'
+		}
+		n += 1 + decimalLen(t+1)
+		if v > 1 {
+			n += 1 + decimalLen(v)
+		}
+	}
+	return n
+}
+
+// decimalLen returns the number of decimal digits of v ≥ 0.
+func decimalLen(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // maxCollocationCounts bounds the counts Collocations lays out (types ×

@@ -3,6 +3,7 @@ package reuse
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"chipletactuary/internal/dtod"
 	"chipletactuary/internal/packaging"
@@ -35,6 +36,12 @@ type SCMSConfig struct {
 }
 
 // SCMS builds the SCMS system family.
+//
+// The chiplet name and every member name are slices of one string, and
+// every member's placement is carved from one slab with its capacity
+// equal to its length, so a family costs a fixed number of allocations
+// whatever its size; retaining one member keeps the family's names
+// alive.
 func SCMS(cfg SCMSConfig) ([]system.System, error) {
 	if len(cfg.Counts) == 0 {
 		return nil, fmt.Errorf("reuse: SCMS needs at least one system count")
@@ -47,14 +54,10 @@ func SCMS(cfg SCMSConfig) ([]system.System, error) {
 	}
 	d2d := cfg.D2D
 	if d2d == nil {
-		d2d = dtod.Fraction{F: 0.10}
+		d2d = paperD2D
 	}
-	chiplet := system.Chiplet{
-		Name:    "X-" + cfg.Node,
-		Node:    cfg.Node,
-		Modules: []system.Module{{Name: "X-module", AreaMM2: cfg.ModuleAreaMM2, Scalable: true}},
-		D2D:     d2d,
-	}
+	scheme := cfg.Scheme.String()
+	size := len("X-") + len(cfg.Node)
 	maxCount := 0
 	for _, n := range cfg.Counts {
 		if n < 1 {
@@ -63,18 +66,38 @@ func SCMS(cfg SCMSConfig) ([]system.System, error) {
 		if n > maxCount {
 			maxCount = n
 		}
+		size += decimalLen(n) + len("X-") + len(scheme)
+	}
+	// Grown to the exact size up front, the builder never reallocates,
+	// so names sliced from it mid-build stay valid.
+	var names strings.Builder
+	names.Grow(size)
+	names.WriteString("X-")
+	names.WriteString(cfg.Node)
+	chiplet := system.Chiplet{
+		Name:    names.String(),
+		Node:    cfg.Node,
+		Modules: []system.Module{{Name: "X-module", AreaMM2: cfg.ModuleAreaMM2, Scalable: true}},
+		D2D:     d2d,
 	}
 	var env *system.Envelope
 	if cfg.ReusePackage {
 		env = familyEnvelope("SCMS-family", cfg.Scheme, cfg.Params,
 			float64(maxCount)*chiplet.DieArea())
 	}
+	placements := make([]system.Placement, len(cfg.Counts))
 	out := make([]system.System, 0, len(cfg.Counts))
-	for _, n := range cfg.Counts {
+	var num [20]byte
+	for i, n := range cfg.Counts {
+		start := names.Len()
+		names.Write(strconv.AppendInt(num[:0], int64(n), 10))
+		names.WriteString("X-")
+		names.WriteString(scheme)
+		placements[i] = system.Placement{Chiplet: chiplet, Count: n}
 		out = append(out, system.System{
-			Name:       strconv.Itoa(n) + "X-" + cfg.Scheme.String(),
+			Name:       names.String()[start:],
 			Scheme:     cfg.Scheme,
-			Placements: []system.Placement{{Chiplet: chiplet, Count: n}},
+			Placements: placements[i : i+1 : i+1],
 			Quantity:   cfg.QuantityPerSystem,
 			Envelope:   env,
 		})
@@ -110,6 +133,11 @@ type OCMEConfig struct {
 
 // OCME builds the four OCME systems of Figure 9: C, C+1X, C+1X+1Y and
 // C+2X+2Y.
+//
+// The three chiplet names are slices of one string, the three chiplets'
+// modules share one array, and every member's placements are carved
+// from one slab, each with its capacity equal to its length; retaining
+// one member keeps the family's names alive.
 func OCME(cfg OCMEConfig) ([]system.System, error) {
 	if cfg.SocketAreaMM2 <= 0 {
 		return nil, fmt.Errorf("reuse: OCME socket area must be positive, got %v", cfg.SocketAreaMM2)
@@ -119,29 +147,33 @@ func OCME(cfg OCMEConfig) ([]system.System, error) {
 	}
 	d2d := cfg.D2D
 	if d2d == nil {
-		d2d = dtod.Fraction{F: 0.10}
+		d2d = paperD2D
 	}
 	centerNode := cfg.CenterNode
 	if centerNode == "" {
 		centerNode = cfg.Node
 	}
-	center := system.Chiplet{
-		Name: "C-" + centerNode,
-		Node: centerNode,
+	var names strings.Builder
+	names.Grow(len("C-") + len(centerNode) + 2*(len("X-")+len(cfg.Node)))
+	names.WriteString("C-")
+	names.WriteString(centerNode)
+	xAt := names.Len()
+	names.WriteString("X-")
+	names.WriteString(cfg.Node)
+	yAt := names.Len()
+	names.WriteString("Y-")
+	names.WriteString(cfg.Node)
+	all := names.String()
+	modules := []system.Module{
 		// The center hosts the "unscalable" shared modules — the area
 		// does not shrink when the node changes.
-		Modules: []system.Module{{Name: "C-module", AreaMM2: cfg.SocketAreaMM2, Scalable: false}},
-		D2D:     d2d,
+		{Name: "C-module", AreaMM2: cfg.SocketAreaMM2, Scalable: false},
+		{Name: "X-module", AreaMM2: cfg.SocketAreaMM2, Scalable: true},
+		{Name: "Y-module", AreaMM2: cfg.SocketAreaMM2, Scalable: true},
 	}
-	ext := func(name string) system.Chiplet {
-		return system.Chiplet{
-			Name:    name + "-" + cfg.Node,
-			Node:    cfg.Node,
-			Modules: []system.Module{{Name: name + "-module", AreaMM2: cfg.SocketAreaMM2, Scalable: true}},
-			D2D:     d2d,
-		}
-	}
-	x, y := ext("X"), ext("Y")
+	center := system.Chiplet{Name: all[:xAt], Node: centerNode, Modules: modules[0:1:1], D2D: d2d}
+	x := system.Chiplet{Name: all[xAt:yAt], Node: cfg.Node, Modules: modules[1:2:2], D2D: d2d}
+	y := system.Chiplet{Name: all[yAt:], Node: cfg.Node, Modules: modules[2:3:3], D2D: d2d}
 
 	configs := []struct {
 		name string
@@ -158,9 +190,15 @@ func OCME(cfg OCMEConfig) ([]system.System, error) {
 		maxDies := center.DieArea() + 4*x.DieArea()
 		env = familyEnvelope("OCME-family", cfg.Scheme, cfg.Params, maxDies)
 	}
+	slab := 0
+	for _, c := range configs {
+		slab += 1 + min(c.x, 1) + min(c.y, 1)
+	}
+	placements := make([]system.Placement, 0, slab)
 	out := make([]system.System, 0, len(configs))
 	for _, c := range configs {
-		placements := []system.Placement{{Chiplet: center, Count: 1}}
+		lo := len(placements)
+		placements = append(placements, system.Placement{Chiplet: center, Count: 1})
 		if c.x > 0 {
 			placements = append(placements, system.Placement{Chiplet: x, Count: c.x})
 		}
@@ -170,7 +208,7 @@ func OCME(cfg OCMEConfig) ([]system.System, error) {
 		out = append(out, system.System{
 			Name:       c.name,
 			Scheme:     cfg.Scheme,
-			Placements: placements,
+			Placements: placements[lo:len(placements):len(placements)],
 			Quantity:   cfg.QuantityPerSystem,
 			Envelope:   env,
 		})
@@ -204,6 +242,12 @@ type FSMCConfig struct {
 
 // FSMC builds one system per collocation: Σ_{i=1..k} C(n+i-1, i)
 // systems in total.
+//
+// Every chiplet, module, envelope and member name is a slice of one
+// string, and every member's placements are carved from one slab, each
+// with its capacity equal to its length, so a family costs a fixed
+// number of allocations whatever n and k are; retaining one member
+// keeps the family's names alive.
 func FSMC(cfg FSMCConfig) ([]system.System, error) {
 	if cfg.ModuleAreaMM2 <= 0 {
 		return nil, fmt.Errorf("reuse: FSMC module area must be positive, got %v", cfg.ModuleAreaMM2)
@@ -217,32 +261,49 @@ func FSMC(cfg FSMCConfig) ([]system.System, error) {
 	}
 	d2d := cfg.D2D
 	if d2d == nil {
-		d2d = dtod.Fraction{F: 0.10}
+		d2d = paperD2D
 	}
-	chiplets := make([]system.Chiplet, cfg.Types)
-	modules := make([]system.Module, cfg.Types)
-	for t := range chiplets {
-		tn := "T" + strconv.Itoa(t+1)
-		modules[t] = system.Module{Name: tn + "-module", AreaMM2: cfg.ModuleAreaMM2, Scalable: true}
-		chiplets[t] = system.Chiplet{
-			Name:    tn + "-" + cfg.Node,
-			Node:    cfg.Node,
-			Modules: modules[t : t+1 : t+1],
-			D2D:     d2d,
-		}
+	// Type t's chiplet is "Tt-"+node and its module "Tt-module"; the
+	// envelope is "FSMC-ksocket" and each member its label.
+	size := len("FSMC-") + decimalLen(cfg.Sockets) + len("socket")
+	for t := 1; t <= cfg.Types; t++ {
+		size += 2*(len("T")+decimalLen(t)) + len("-module") + len("-") + len(cfg.Node)
 	}
-	env := familyEnvelope("FSMC-"+strconv.Itoa(cfg.Sockets)+"socket", cfg.Scheme, cfg.Params,
-		float64(cfg.Sockets)*chiplets[0].DieArea())
-	// Every member's placements are carved from one slab, each with its
-	// capacity equal to its length.
 	slab := 0
 	for _, col := range cols {
+		size += col.labelLen()
 		for _, count := range col.Counts {
 			if count > 0 {
 				slab++
 			}
 		}
 	}
+	var names strings.Builder
+	names.Grow(size)
+	// Numbers and labels are formatted in scratch, which a label longer
+	// than 64 bytes outgrows at the cost of one allocation.
+	var scratch [64]byte
+	chiplets := make([]system.Chiplet, cfg.Types)
+	modules := make([]system.Module, cfg.Types)
+	for t := range chiplets {
+		tn := strconv.AppendInt(append(scratch[:0], 'T'), int64(t+1), 10)
+		start := names.Len()
+		names.Write(tn)
+		names.WriteString("-module")
+		chip := names.Len()
+		names.Write(tn)
+		names.WriteByte('-')
+		names.WriteString(cfg.Node)
+		all := names.String()
+		modules[t] = system.Module{Name: all[start:chip], AreaMM2: cfg.ModuleAreaMM2, Scalable: true}
+		chiplets[t] = system.Chiplet{Name: all[chip:], Node: cfg.Node, Modules: modules[t : t+1 : t+1], D2D: d2d}
+	}
+	start := names.Len()
+	names.WriteString("FSMC-")
+	names.Write(strconv.AppendInt(scratch[:0], int64(cfg.Sockets), 10))
+	names.WriteString("socket")
+	env := familyEnvelope(names.String()[start:], cfg.Scheme, cfg.Params,
+		float64(cfg.Sockets)*chiplets[0].DieArea())
 	placements := make([]system.Placement, 0, slab)
 	out := make([]system.System, 0, len(cols))
 	for _, col := range cols {
@@ -252,8 +313,10 @@ func FSMC(cfg FSMCConfig) ([]system.System, error) {
 				placements = append(placements, system.Placement{Chiplet: chiplets[t], Count: count})
 			}
 		}
+		start := names.Len()
+		names.Write(col.appendLabel(scratch[:0]))
 		out = append(out, system.System{
-			Name:       col.Label(),
+			Name:       names.String()[start:],
 			Scheme:     cfg.Scheme,
 			Placements: placements[lo:len(placements):len(placements)],
 			Quantity:   cfg.QuantityPerSystem,
@@ -262,6 +325,10 @@ func FSMC(cfg FSMCConfig) ([]system.System, error) {
 	}
 	return out, nil
 }
+
+// paperD2D is the builders' default D2D overhead, the paper's 10%,
+// converted to a dtod.Overhead once rather than once per family.
+var paperD2D dtod.Overhead = dtod.Fraction{F: 0.10}
 
 // familyEnvelope sizes a shared package design for totalDieAreaMM2 of
 // silicon under the given scheme.

@@ -11,20 +11,23 @@ import (
 )
 
 // Monolithic builds an SoC system: one die carrying a single module of
-// the given area, no D2D interface. The system, die and module names
-// (name, name+"-die", name+"-logic") are slices of one string that
-// begins with name, so the system costs three allocations (placements,
-// modules, names); retaining any one name keeps the others alive.
+// the given area, no D2D interface. Its placement and module share one
+// block, and the system, die and module names (name, name+"-die",
+// name+"-logic") are slices of one string that begins with name, so the
+// system costs two allocations; retaining any one name keeps the others
+// alive.
 func Monolithic(name, node string, moduleAreaMM2, quantity float64) System {
 	var exact Chunks
 	return exact.monolithic(name, nil, node, moduleAreaMM2, quantity)
 }
 
-// MaxPartitionCount bounds the partition count PartitionEqual accepts,
-// and so every sweep count axis (sweep.Grid.Validate, sweep.CountRange):
-// 4096 chiplets is far past any package the paper's schemes can build,
-// and a larger count would only ask the builder for placements and
-// names by the gigabyte.
+// MaxPartitionCount bounds the dies one system mounts: System.Validate
+// rejects a system with more, and PartitionEqual a partition count
+// above it, and so does every sweep count axis (sweep.Grid.Validate,
+// sweep.CountRange). 4096 dies is far past any package the paper's
+// schemes can build, and a larger count would only ask the builders and
+// the pricing walks for placements, names and die costs by the
+// gigabyte.
 const MaxPartitionCount = 4096
 
 // PartitionEqual re-partitions a monolithic module area into k
@@ -62,8 +65,9 @@ func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
 // its placement and module chunks — at most about 36 KiB — alive.
 //
 // The zero Chunks draws exact-size slices for every system, as the
-// package-level PartitionEqual and Monolithic do. A Chunks is not safe
-// for concurrent use.
+// package-level PartitionEqual and Monolithic do; a monolithic system's
+// placement and module share one block. A Chunks is not safe for
+// concurrent use.
 type Chunks struct {
 	placements chunk[Placement]
 	modules    chunk[Module]
@@ -183,10 +187,22 @@ func (c *Chunks) partitionEqual(name string, nameBytes []byte, node string, modu
 }
 
 // monolithic is Monolithic with the system name given as a string or
-// as bytes (the other empty), building into c.
+// as bytes (the other empty), building into c. The zero Chunks takes
+// the placement and the module from one block, each slice with cap ==
+// len == 1.
 func (c *Chunks) monolithic(name string, nameBytes []byte, node string, moduleAreaMM2, quantity float64) System {
-	placements := c.placements.carve(1)
-	modules := c.modules.carve(1)
+	var placements []Placement
+	var modules []Module
+	if c.placements.next == 0 && c.modules.next == 0 {
+		block := new(struct {
+			p [1]Placement
+			m [1]Module
+		})
+		placements, modules = block.p[:], block.m[:]
+	} else {
+		placements = c.placements.carve(1)
+		modules = c.modules.carve(1)
+	}
 	var names strings.Builder
 	n := len(name) + len(nameBytes)
 	names.Grow(2*n + len("-die") + len("-logic"))

@@ -264,18 +264,30 @@ func (s System) Validate(db *tech.Database) error {
 	if len(s.Placements) == 0 {
 		return fmt.Errorf("system: %q has no placements", s.Name)
 	}
+	dies := 0
 	for i := range s.Placements {
 		p := &s.Placements[i]
 		if p.Count <= 0 {
 			return fmt.Errorf("system: %q places %q with non-positive count %d",
 				s.Name, p.Chiplet.Name, p.Count)
 		}
+		// Each count and the running total stay within the bound, so
+		// the sum cannot overflow and a pricing walk never asks for
+		// more than MaxPartitionCount dies.
+		if p.Count > MaxPartitionCount {
+			return fmt.Errorf("system: %q places %d copies of %q, more than the bound of %d dies",
+				s.Name, p.Count, p.Chiplet.Name, MaxPartitionCount)
+		}
+		if dies += p.Count; dies > MaxPartitionCount {
+			return fmt.Errorf("system: %q mounts more than the bound of %d dies once it places %q",
+				s.Name, MaxPartitionCount, p.Chiplet.Name)
+		}
 		if err := p.Chiplet.Validate(db); err != nil {
 			return fmt.Errorf("system: %q: %w", s.Name, err)
 		}
 	}
-	if s.Scheme == packaging.SoC && s.DieCount() != 1 {
-		return fmt.Errorf("system: %q is an SoC but mounts %d dies", s.Name, s.DieCount())
+	if s.Scheme == packaging.SoC && dies != 1 {
+		return fmt.Errorf("system: %q is an SoC but mounts %d dies", s.Name, dies)
 	}
 	if s.Quantity < 0 {
 		return fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)

@@ -95,18 +95,38 @@ func TestPartitionNames(t *testing.T) {
 	}
 }
 
+// TestMonolithicSlicesCapped checks that Monolithic's placement and
+// module slices, which share one block, each have cap == len == 1, so
+// appending to one never writes into the other or into another system.
+func TestMonolithicSlicesCapped(t *testing.T) {
+	s := Monolithic("soc", "5nm", 400, 1)
+	want := fmt.Sprintf("%#v", s)
+	p, m := s.Placements, s.Placements[0].Chiplet.Modules
+	if len(p) != 1 || cap(p) != 1 || len(m) != 1 || cap(m) != 1 {
+		t.Fatalf("placements len %d cap %d, modules len %d cap %d; want 1 each", len(p), cap(p), len(m), cap(m))
+	}
+	p = append(p, Placement{Count: -1})
+	m = append(m, Module{Name: "appended", AreaMM2: -1})
+	p[0].Count, m[0].AreaMM2 = -2, -2
+	if got := fmt.Sprintf("%#v", s); got != want {
+		t.Fatalf("appending to the slices changed the system:\n got %s\nwant %s", got, want)
+	}
+}
+
 var sinkSystem System
 
 // TestBuilderAllocations pins the builders at three allocations per
 // system whatever the width: placements, modules and one name string.
+// Monolithic takes exactly two: its placement and module share one
+// block.
 func TestBuilderAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector adds allocations")
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		sinkSystem = Monolithic("big", "5nm", 800, 1e6)
-	}); n > 3 {
-		t.Errorf("Monolithic: %v allocations, want ≤ 3", n)
+	}); n != 2 {
+		t.Errorf("Monolithic: %v allocations, want 2", n)
 	}
 	var d2d dtod.Overhead = dtod.Fraction{F: 0.1} // converted once, outside the count
 	for _, k := range []int{2, 8, 64} {

@@ -145,6 +145,52 @@ func TestValidateRejectsBrokenEnvelope(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsDieCount checks that Validate rejects a system that
+// mounts more than system.MaxPartitionCount dies, in one placement or
+// across several, and that counts whose sum overflows an int are
+// rejected rather than wrapped round to a small total. The error names
+// the system and the chiplet that crosses the bound. Each system is
+// checked as an MCM package and, with the same counts, as an SoC, whose
+// one-die check a sum that wraps round to one would otherwise pass.
+func TestValidateBoundsDieCount(t *testing.T) {
+	const max = system.MaxPartitionCount
+	chiplet := func(name string) system.Chiplet {
+		return system.Chiplet{Name: name, Node: "7nm", Modules: []system.Module{{Name: name + "-m", AreaMM2: 0.001}}}
+	}
+	for _, tc := range []struct {
+		name   string
+		counts []int
+		want   string
+	}{
+		{"at the bound", []int{max}, ""},
+		{"at the bound in two", []int{max - 1, 1}, ""},
+		{"one over in one", []int{max + 1}, `system: "s" places 4097 copies of "c0", more than the bound of 4096 dies`},
+		{"one over in two", []int{max, 1}, `system: "s" mounts more than the bound of 4096 dies once it places "c1"`},
+		{"one over in three", []int{2048, 2048, 1}, `system: "s" mounts more than the bound of 4096 dies once it places "c2"`},
+		{"two million", []int{2_000_000}, `system: "s" places 2000000 copies of "c0", more than the bound of 4096 dies`},
+		{"near 2^31", []int{1<<31 - 1}, `system: "s" places 2147483647 copies of "c0", more than the bound of 4096 dies`},
+		{"sum overflows", []int{math.MaxInt, math.MaxInt}, fmt.Sprintf(`system: "s" places %d copies of "c0", more than the bound of 4096 dies`, math.MaxInt)},
+		{"sum wraps to one", []int{math.MaxInt, math.MaxInt, 3}, fmt.Sprintf(`system: "s" places %d copies of "c0", more than the bound of 4096 dies`, math.MaxInt)},
+		{"sum overflows after the bound", []int{max, math.MaxInt}, fmt.Sprintf(`system: "s" places %d copies of "c1", more than the bound of 4096 dies`, math.MaxInt)},
+	} {
+		s := system.System{Name: "s", Scheme: packaging.MCM, Quantity: 1}
+		for i, n := range tc.counts {
+			s.Placements = append(s.Placements, system.Placement{Chiplet: chiplet(fmt.Sprintf("c%d", i)), Count: n})
+		}
+		if got := fmt.Sprint(s.Validate(tech.Default())); tc.want == "" && got != "<nil>" || tc.want != "" && got != tc.want {
+			t.Errorf("%s %v: %s, want %q", tc.name, tc.counts, got, tc.want)
+		}
+		s.Scheme = packaging.SoC
+		want := tc.want
+		if want == "" {
+			want = fmt.Sprintf(`system: "s" is an SoC but mounts %d dies`, s.DieCount())
+		}
+		if got := fmt.Sprint(s.Validate(tech.Default())); got != want {
+			t.Errorf("%s %v on an SoC: %s, want %q", tc.name, tc.counts, got, want)
+		}
+	}
+}
+
 var sinkErr error
 
 // TestValidateAllocations pins Validate at zero allocations on valid
