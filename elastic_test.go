@@ -2,9 +2,7 @@ package actuary_test
 
 import (
 	"context"
-	"encoding/json"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -106,58 +104,6 @@ func TestElasticPoolUnderResizeChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestMetricsSnapshotWireRoundTrip(t *testing.T) {
-	snap := actuary.MetricsSnapshot{
-		Workers: 5,
-		Session: actuary.SessionMetrics{
-			StreamsStarted: 3, StreamsCompleted: 2,
-			QueueDepth: 1, QueueDepthMax: 7, QueueDepthSamples: 40, QueueDepthSum: 90,
-			InFlight: 2, InFlightMax: 5,
-			WorkerBusy: 1500 * time.Millisecond, WorkerTime: 2 * time.Second,
-			PerQuestion: []actuary.QuestionMetrics{{
-				Question: actuary.QuestionSweepBest, Count: 12, Failures: 1,
-				TotalLatency: time.Second, MaxLatency: 200 * time.Millisecond,
-			}},
-		},
-		Cache: actuary.KGDCacheStats{Hits: 10, Misses: 4, Entries: 4},
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(data)
-	for _, field := range []string{`"workers":5`, `"queue_depth_sum":90`,
-		`"worker_busy_ns":1500000000`, `"question":"sweep-best"`, `"cache_hits":10`} {
-		if !strings.Contains(text, field) {
-			t.Errorf("wire form lacks %s:\n%s", field, text)
-		}
-	}
-	var back actuary.MetricsSnapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, snap) {
-		t.Errorf("round trip diverged:\n got %+v\nwant %+v", back, snap)
-	}
-}
-
-func TestMetricsSnapshotWireRejects(t *testing.T) {
-	cases := map[string]string{
-		"unknown field":          `{"workers":1,"bogus":2}`,
-		"negative counter":       `{"workers":-1}`,
-		"negative worker time":   `{"worker_time_ns":-5}`,
-		"negative per-question":  `{"per_question":[{"question":"sweep-best","count":-1,"total_ns":0,"max_ns":0}]}`,
-		"trailing garbage":       `{"workers":1} {}`,
-		"negative queue samples": `{"queue_depth_samples":-2}`,
-	}
-	for name, raw := range cases {
-		var snap actuary.MetricsSnapshot
-		if err := json.Unmarshal([]byte(raw), &snap); err == nil {
-			t.Errorf("%s: accepted %s", name, raw)
-		}
-	}
 }
 
 func TestMetricsSnapshotNow(t *testing.T) {

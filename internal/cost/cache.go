@@ -59,7 +59,8 @@ type cacheTally struct {
 // FIFO — sweeps and portfolios revisit the same handful of die shapes
 // over and over, so recency tracking buys nothing at this working-set
 // size, and a miss-heavy sweep (every candidate a new die shape) pays
-// O(1) per insert into a table whose memory is fixed at construction.
+// O(1) per insert. The table grows as dies arrive, up to its bound;
+// once full, its memory is fixed however many dies stream through.
 type kgdCache = memo.Cache[dieKey, dieValue]
 
 // newKGDCache builds the KGD table for db's nodes.

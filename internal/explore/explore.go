@@ -69,12 +69,12 @@ func NewEvaluatorWithCache(db *tech.Database, params packaging.Params, cacheSize
 // uniform-shape tables when the caller does not size them explicitly.
 // An innermost-axis run touches one package and one shape key per
 // point, so the working set is roughly one entry per in-flight point —
-// 8k entries comfortably covers a slab-dispatched sweep. The two
-// tables are preallocated at this size and never grow, and their
-// entries hold no pointer, so the collector never scans them: together
-// they hold 2.88 MiB from construction on (1.5 MiB for the partials,
+// 8k entries comfortably covers a slab-dispatched sweep. The size is a
+// bound, not an allocation: each table starts empty and grows as keys
+// arrive, and its entries hold no pointer, so the collector never
+// scans it. Full, the two hold 2.88 MiB (1.5 MiB for the partials,
 // 1.38 MiB for the shapes at 160 bytes an entry; 0.32 MiB more for a
-// 4096-entry KGD cache).
+// full 4096-entry KGD cache); a new evaluator holds a few KiB.
 const DefaultPartialsCacheSize = 8192
 
 // NewEvaluatorWithCaches additionally bounds the partial caches: one

@@ -3,24 +3,30 @@
 //
 // The cache is generic over comparable keys. It runs the caller's hash
 // through a 64-bit finalizer once per operation and splits the keys
-// over 16 shards by the top bits of the result. Each shard is a
-// fixed-footprint table allocated once by New:
+// over 16 shards by the top bits of the result. Each shard holds at
+// most perMax entries, its share of the bound, in two arrays:
 //
-//   - a ring of perMax entries {hash, key, value} in insertion order,
-//     which is also the FIFO eviction order, and
-//   - an open-addressed index of at least 2×perMax words, a power of
-//     two, probed linearly. A word is tag<<32 | slot+1, zero when the
-//     word is free. The tag is the low 32 bits of the finalized hash;
-//     its low bits are the word's home position. A probe rejects most
-//     non-matching keys without touching the ring.
+//   - a ring of entries {hash, key, value} in insertion order, which
+//     is also the FIFO eviction order, and
+//   - an open-addressed index of at least twice the ring's length in
+//     words, a power of two, probed linearly. A word is
+//     tag<<32 | slot+1, zero when the word is free. The tag is the low
+//     32 bits of the finalized hash; its low bits are the word's home
+//     position. A probe rejects most non-matching keys without
+//     touching the ring.
 //
-// Evicting the oldest entry removes its index word by backward-shift
-// deletion, so a shard never leaves a tombstone, never grows and never
-// allocates after New: the memory a cache holds is fixed at
-// construction, however many keys stream through it. The finalizer
-// matters because cheap one-multiply hashes leave the low bits nearly
-// constant for integer or dyadic float fields: taken raw, they would
-// crowd a few shards and lengthen probes.
+// New allocates no ring and a 2-word index per shard, so an unfilled
+// table costs only what it holds. A shard whose ring is full below
+// perMax doubles it (to at least 8 entries, at most perMax), every
+// entry keeping its slot, and rebuilds the index at twice the new
+// ring. Once the ring holds perMax entries it stops growing: evicting
+// the oldest entry removes its index word by backward-shift deletion,
+// so a full shard never leaves a tombstone and never allocates again,
+// however many keys stream through it. Growth changes no answer,
+// victim or counter; it only spares memory a table never fills. The
+// finalizer matters because cheap one-multiply hashes leave the low
+// bits nearly constant for integer or dyadic float fields: taken raw,
+// they would crowd a few shards and lengthen probes.
 //
 // Every operation holds its shard's mutex for a few index probes and
 // one entry copy. A plain mutex, not a read-write lock: on a
@@ -62,8 +68,8 @@ type shard[K comparable, V any] struct {
 	mu     sync.Mutex
 	hits   int64 // counted by Get under mu
 	misses int64
-	ring   []entry[K, V] // perMax entries; ring[:n] are filled
-	index  []uint64      // power of two, at least 2×perMax words
+	ring   []entry[K, V] // up to perMax entries; ring[:n] are filled
+	index  []uint64      // power of two, at least 2×len(ring) words
 	mask   uint64
 	n      int
 	next   int      // oldest entry once the ring is full
@@ -76,6 +82,7 @@ type shard[K comparable, V any] struct {
 type Cache[K comparable, V any] struct {
 	shards [shardCount]shard[K, V]
 	hash   func(K) uint64
+	perMax int      // each shard's bound
 	_      [64]byte // Note's counters stay off the line holding hash
 
 	hits   atomic.Int64
@@ -84,22 +91,20 @@ type Cache[K comparable, V any] struct {
 
 // New builds a cache bounded to roughly max entries (rounded up to a
 // multiple of the shard count), distributing keys with hash. A max
-// below 1 returns nil — the disabled cache.
+// below 1 returns nil — the disabled cache. No shard holds a ring yet;
+// each grows its own as keys arrive.
 func New[K comparable, V any](max int, hash func(K) uint64) *Cache[K, V] {
 	if max < 1 {
 		return nil
 	}
-	per := (max + shardCount - 1) / shardCount
-	slots := 2
-	for slots < 2*per {
-		slots *= 2
-	}
-	c := &Cache[K, V]{hash: hash}
+	c := &Cache[K, V]{hash: hash, perMax: (max + shardCount - 1) / shardCount}
+	// Every shard starts with 2 free words, so an empty shard's probe
+	// misses at once; one block holds all of them.
+	index := make([]uint64, 2*shardCount)
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.ring = make([]entry[K, V], per)
-		sh.index = make([]uint64, slots)
-		sh.mask = uint64(slots - 1)
+		sh.index = index[2*i : 2*i+2 : 2*i+2]
+		sh.mask = 1
 	}
 	return c
 }
@@ -223,6 +228,33 @@ func (c *Cache[K, V]) Peek(k K, v *V) bool {
 	return slot >= 0
 }
 
+// grow lengthens a full ring below perMax to twice its length, at
+// least 8 entries and at most perMax, with every entry in the same
+// slot, and rebuilds the index at the smallest power of two at least
+// twice the new ring. A word's slot is unchanged and its tag holds its
+// home position, so each old word is re-placed from the old index
+// alone, without reading the ring.
+func (sh *shard[K, V]) grow(perMax int) {
+	ring := make([]entry[K, V], min(max(2*len(sh.ring), 8), perMax))
+	copy(ring, sh.ring)
+	slots := len(sh.index)
+	for slots < 2*len(ring) {
+		slots *= 2
+	}
+	index := make([]uint64, slots)
+	mask := uint64(slots - 1)
+	for _, w := range sh.index {
+		if w != 0 {
+			i := w >> 32 & mask
+			for index[i] != 0 {
+				i = (i + 1) & mask
+			}
+			index[i] = w
+		}
+	}
+	sh.ring, sh.index, sh.mask = ring, index, mask
+}
+
 // Put inserts k→v, evicting the shard's oldest entry if the shard is
 // full. A key already present keeps its original value: concurrent
 // fillers compute identical results for identical keys, and
@@ -236,6 +268,9 @@ func (c *Cache[K, V]) Put(k K, v V) {
 	defer sh.mu.Unlock()
 	if sh.find(h, k) >= 0 {
 		return
+	}
+	if sh.n == len(sh.ring) && sh.n < c.perMax {
+		sh.grow(c.perMax)
 	}
 	slot := sh.n
 	if sh.n < len(sh.ring) {

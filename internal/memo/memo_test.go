@@ -178,13 +178,20 @@ func (c *refCache[K, V]) Stats() Stats {
 	return st
 }
 
-// checkIndex verifies the table's invariants: every filled ring slot
-// is indexed exactly once, by a word carrying its tag, reachable from
-// its home position without crossing a free word.
+// checkIndex verifies the table's invariants: the ring holds at most
+// the shard's bound, the index is a power of two at least twice the
+// ring, and every filled ring slot is indexed exactly once, by a word
+// carrying its tag, reachable from its home position without crossing
+// a free word.
 func checkIndex[K comparable, V any](t *testing.T, c *Cache[K, V]) {
 	t.Helper()
 	for s := range c.shards {
 		sh := &c.shards[s]
+		if slots := len(sh.index); slots < 2 || slots&(slots-1) != 0 || slots < 2*len(sh.ring) ||
+			sh.mask != uint64(slots-1) || len(sh.ring) > c.perMax || sh.n > len(sh.ring) {
+			t.Fatalf("shard %d: %d index words (mask %#x) for a ring of %d holding %d (bound %d)",
+				s, slots, sh.mask, len(sh.ring), sh.n, c.perMax)
+		}
 		seen := make([]bool, len(sh.ring))
 		words := 0
 		for j, w := range sh.index {
@@ -232,10 +239,27 @@ func fnvKey(k structKey) uint64 {
 	return (h ^ uint64(k.k)) * 1099511628211
 }
 
+// ringLen sums the shards' ring lengths, which change only when a ring
+// grows.
+func ringLen[K comparable, V any](c *Cache[K, V]) int {
+	n := 0
+	for i := range c.shards {
+		n += len(c.shards[i].ring)
+	}
+	return n
+}
+
+// growthBounds take a shard's ring through every growth step: to one
+// entry a shard (16), to 7 in one step (100), 8 → 16 → 32 → 63 (1000)
+// and 8 → 16 → … → 512 (8192).
+var growthBounds = []int{16, 100, 1000, 8192}
+
 // TestDifferentialAgainstMap feeds the table and the map-backed
 // reference the same random Get/Peek/Put/Note stream and requires the
 // same answer and the same Stats after every operation: same victims,
-// same first-write-wins, same counters.
+// same first-write-wins, same counters. The last runs use the growth
+// bounds with 8 keys per entry and enough operations to fill every
+// shard, and check the index after each growth.
 func TestDifferentialAgainstMap(t *testing.T) {
 	hashes := []struct {
 		name string
@@ -250,7 +274,7 @@ func TestDifferentialAgainstMap(t *testing.T) {
 	if testing.Short() {
 		seeds, ops = 8, 5000
 	}
-	for seed := 0; seed < seeds; seed++ {
+	for seed := 0; seed < seeds+len(growthBounds); seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		h := hashes[seed%len(hashes)]
 		max := 1 + rng.Intn(600)
@@ -258,6 +282,16 @@ func TestDifferentialAgainstMap(t *testing.T) {
 			max = 1 + seed // sizes below the shard count: one entry per shard
 		}
 		universe := 1 + rng.Intn(4*max+8)
+		ops := ops
+		growth := seed >= seeds
+		if growth {
+			h = hashes[0]
+			max = growthBounds[seed-seeds]
+			universe = 8 * max
+			if ops < 10*max {
+				ops = 10 * max
+			}
+		}
 		keys := make([]structKey, universe)
 		for i := range keys {
 			keys[i] = structKey{
@@ -269,6 +303,7 @@ func TestDifferentialAgainstMap(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d/%s/max=%d/keys=%d", seed, h.name, max, universe), func(t *testing.T) {
 			c := New[structKey, string](max, h.fn)
 			ref := newRef[structKey, string](max, h.fn)
+			grown := ringLen(c)
 			for op := 0; op < ops; op++ {
 				k := keys[rng.Intn(len(keys))]
 				switch r := rng.Intn(20); {
@@ -276,6 +311,10 @@ func TestDifferentialAgainstMap(t *testing.T) {
 					v := fmt.Sprint(op)
 					c.Put(k, v)
 					ref.Put(k, v)
+					if n := ringLen(c); n != grown {
+						grown = n
+						checkIndex(t, c)
+					}
 				case r < 15:
 					var v string
 					ok := c.Get(k, &v)
@@ -304,14 +343,18 @@ func TestDifferentialAgainstMap(t *testing.T) {
 				}
 			}
 			checkIndex(t, c)
+			if growth && grown != shardCount*c.perMax {
+				t.Fatalf("rings grew to %d entries in all, want every shard at its bound of %d", grown, c.perMax)
+			}
 		})
 	}
 }
 
 var sinkValue [3]float64
 
-// TestSteadyStateAllocs pins the fixed footprint: once built, lookups
-// and evicting inserts allocate nothing.
+// TestSteadyStateAllocs pins the full table's fixed footprint: once
+// every shard holds its bound, lookups and evicting inserts allocate
+// nothing.
 func TestSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -335,9 +378,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestHeapBounded streams a million fresh keys through one cache: the
-// live heap must stay at its reading just after construction, because
-// the table neither grows nor leaves tombstones behind.
+// TestHeapBounded fills one cache to its bound, then streams a million
+// fresh keys through it: the live heap must stay at its reading once
+// the table first held its bound, because a full table neither grows
+// nor leaves tombstones behind.
 func TestHeapBounded(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -353,9 +397,17 @@ func TestHeapBounded(t *testing.T) {
 		keys = 1 << 18
 	}
 	c := New[structKey, [3]float64](8192, fnvKey)
-	base := heap()
-	for i := 0; i < keys; i++ {
+	i := 0
+	put := func() {
 		c.Put(structKey{node: nodes[i%len(nodes)], area: float64(i) / 8, k: i % 16}, [3]float64{1, 2, 3})
+		i++
+	}
+	for c.Stats().Entries < 8192 {
+		put()
+	}
+	base := heap()
+	for end := i + keys; i < end; {
+		put()
 	}
 	after := heap()
 	runtime.KeepAlive(c)
@@ -394,6 +446,67 @@ func TestStructuredHashProbeLength(t *testing.T) {
 	}
 	if mean := float64(total) / float64(sh.n); mean > 2 {
 		t.Fatalf("mean probe length %.2f in a full shard, want ≤ 2", mean)
+	}
+	checkIndex(t, c)
+}
+
+// TestConcurrentGrowth has 4 goroutines put and get shared and private
+// keys while an empty 8192-entry table grows from nothing; run with
+// -race. Every hit must return its own key's value, and since no shard
+// reaches its bound, every key put must be there afterwards, once.
+func TestConcurrentGrowth(t *testing.T) {
+	const goroutines, shared, private = 4, 1000, 500
+	c := New[structKey, string](8192, fnvKey)
+	// owner 0 is shared; goroutine g owns the keys with k = g+1.
+	key := func(owner, i int) structKey {
+		return structKey{node: nodes[i%len(nodes)], area: float64(i) / 4, k: owner}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for _, i := range rng.Perm(shared) {
+				k := key(0, i)
+				want := fmt.Sprint(k)
+				var v string
+				if c.Get(k, &v) {
+					if v != want {
+						t.Errorf("shared key %v: got %q want %q", k, v, want)
+						return
+					}
+				} else {
+					c.Put(k, want)
+				}
+				if i >= private {
+					continue
+				}
+				k = key(g+1, i)
+				c.Put(k, fmt.Sprint(k))
+				if !c.Peek(k, &v) || v != fmt.Sprint(k) {
+					t.Errorf("private key %v: got %q right after putting it", k, v)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for owner := 0; owner <= goroutines; owner++ {
+		n := shared
+		if owner > 0 {
+			n = private
+		}
+		for i := 0; i < n; i++ {
+			k := key(owner, i)
+			var v string
+			if !c.Peek(k, &v) || v != fmt.Sprint(k) {
+				t.Fatalf("key %v: got %q after the goroutines finished", k, v)
+			}
+		}
+	}
+	if st := c.Stats(); st.Entries != shared+goroutines*private || st.Hits+st.Misses != goroutines*shared {
+		t.Fatalf("stats %+v", st)
 	}
 	checkIndex(t, c)
 }

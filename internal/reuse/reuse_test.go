@@ -2,10 +2,13 @@ package reuse
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"chipletactuary/internal/packaging"
+	"chipletactuary/internal/race"
+	"chipletactuary/internal/system"
 	"chipletactuary/internal/tech"
 	"chipletactuary/internal/units"
 )
@@ -356,6 +359,27 @@ func TestSoCEquivalent(t *testing.T) {
 	}
 	if soc.Quantity != systems[0].Quantity {
 		t.Error("quantity must carry over")
+	}
+}
+
+// TestSoCEquivalentAllocations pins a twin at two allocations (its
+// names string and its placement-and-module block) on both sides of
+// the 32-byte stack buffer a name+"-SoC" concatenation would use.
+func TestSoCEquivalentAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector adds allocations")
+	}
+	for _, n := range []int{8, 28, 29, 40, 200} {
+		s := system.Monolithic(strings.Repeat("m", n), "7nm", 100, 5e5)
+		var soc system.System
+		if allocs := testing.AllocsPerRun(50, func() { soc = SoCEquivalent(s, "5nm") }); allocs != 2 {
+			t.Errorf("SoCEquivalent of a %d-byte name: %v allocations, want 2", n, allocs)
+		}
+		if want := s.Name + "-SoC"; soc.Name != want || soc.Placements[0].Chiplet.Name != want+"-die" ||
+			soc.Placements[0].Chiplet.Modules[0].Name != want+"-logic" {
+			t.Errorf("SoCEquivalent of a %d-byte name: names %q, %q, %q", n,
+				soc.Name, soc.Placements[0].Chiplet.Name, soc.Placements[0].Chiplet.Modules[0].Name)
+		}
 	}
 }
 

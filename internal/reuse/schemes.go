@@ -342,7 +342,9 @@ func familyEnvelope(name string, scheme packaging.Scheme, params packaging.Param
 
 // SoCEquivalent builds the monolithic comparator for a multi-chip
 // system: a single die carrying the same total module area (no D2D)
-// on the given node. The name gains a "-SoC" suffix.
+// on the given node. The name gains a "-SoC" suffix, written straight
+// into the twin's one names string, so a twin costs two allocations
+// whatever the length of its name.
 func SoCEquivalent(s system.System, node string) system.System {
-	return system.Monolithic(s.Name+"-SoC", node, s.TotalModuleArea(), s.Quantity)
+	return system.MonolithicSuffixed(s.Name, "-SoC", node, s.TotalModuleArea(), s.Quantity)
 }

@@ -17,8 +17,17 @@ import (
 // system costs two allocations; retaining any one name keeps the others
 // alive.
 func Monolithic(name, node string, moduleAreaMM2, quantity float64) System {
+	return MonolithicSuffixed(name, "", node, moduleAreaMM2, quantity)
+}
+
+// MonolithicSuffixed is Monolithic for the system named name+suffix.
+// Both are written straight into the one names string, so the system
+// costs Monolithic's two allocations however long name is; building
+// name+suffix first would cost a third once it outgrows the compiler's
+// 32-byte stack buffer.
+func MonolithicSuffixed(name, suffix, node string, moduleAreaMM2, quantity float64) System {
 	var exact Chunks
-	return exact.monolithic(name, nil, node, moduleAreaMM2, quantity)
+	return exact.monolithic(name, nil, suffix, node, moduleAreaMM2, quantity)
 }
 
 // MaxPartitionCount bounds the dies one system mounts: System.Validate
@@ -136,7 +145,7 @@ func (c *Chunks) partitionEqual(name string, nameBytes []byte, node string, modu
 		return System{}, fmt.Errorf("system: module area %v must be positive", moduleAreaMM2)
 	}
 	if k == 1 && scheme == packaging.SoC {
-		return c.monolithic(name, nameBytes, node, moduleAreaMM2, quantity), nil
+		return c.monolithic(name, nameBytes, "", node, moduleAreaMM2, quantity), nil
 	}
 	if scheme == packaging.SoC {
 		return System{}, fmt.Errorf("system: cannot partition into %d chiplets on an SoC", k)
@@ -186,11 +195,11 @@ func (c *Chunks) partitionEqual(name string, nameBytes []byte, node string, modu
 	return System{Name: sysName, Scheme: scheme, Placements: placements, Quantity: quantity}, nil
 }
 
-// monolithic is Monolithic with the system name given as a string or
-// as bytes (the other empty), building into c. The zero Chunks takes
-// the placement and the module from one block, each slice with cap ==
+// monolithic is Monolithic for the system named name+nameBytes+suffix
+// (name or nameBytes empty), building into c. The zero Chunks takes the
+// placement and the module from one block, each slice with cap ==
 // len == 1.
-func (c *Chunks) monolithic(name string, nameBytes []byte, node string, moduleAreaMM2, quantity float64) System {
+func (c *Chunks) monolithic(name string, nameBytes []byte, suffix, node string, moduleAreaMM2, quantity float64) System {
 	var placements []Placement
 	var modules []Module
 	if c.placements.next == 0 && c.modules.next == 0 {
@@ -204,10 +213,11 @@ func (c *Chunks) monolithic(name string, nameBytes []byte, node string, moduleAr
 		modules = c.modules.carve(1)
 	}
 	var names strings.Builder
-	n := len(name) + len(nameBytes)
+	n := len(name) + len(nameBytes) + len(suffix)
 	names.Grow(2*n + len("-die") + len("-logic"))
 	names.WriteString(name)
 	names.Write(nameBytes)
+	names.WriteString(suffix)
 	sysName := names.String()
 	names.WriteString("-die")
 	die := names.Len()

@@ -328,9 +328,10 @@ func WithPartialsCacheSize(n int) Option {
 // partial per distinct (scheme, flow, die count, total area) tuple and
 // one shape entry per distinct (node, scheme, flow, count, area)
 // tuple, so 8192 holds every partial and shape of the paper's sweep
-// workloads at once. Both tables are preallocated at this size and
-// hold no pointer: 1.5 MiB for the partials and 1.38 MiB (160 bytes an
-// entry) for the shapes.
+// workloads at once. The size bounds each table; neither is allocated
+// at it. Both start empty, grow as keys arrive and hold no pointer;
+// full, they hold 1.5 MiB for the partials and 1.38 MiB (160 bytes an
+// entry) for the shapes, and a new Session holds a few KiB of table.
 const DefaultPartialsCacheSize = explore.DefaultPartialsCacheSize
 
 // PartialsStats reports the partial-result caches' counters (see

@@ -320,3 +320,16 @@ func TestSessionWaferFitClassification(t *testing.T) {
 		t.Errorf("error chain %v lost ErrDoesNotFitWafer", r.Err)
 	}
 }
+
+// BenchmarkNewSession measures building a default Session, as a Monte
+// Carlo or co-optimization loop does once per sampled scenario: its
+// memo tables start empty and grow as keys arrive, so construction
+// costs a few allocations, not the tables' full bounds.
+func BenchmarkNewSession(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := actuary.NewSession(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,14 +1,22 @@
 package actuary_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"chipletactuary"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/metricz.golden.json from the current wire form")
 
 // reencode marshals v, unmarshals into out (a pointer), and returns
 // the first marshaling plus the re-marshaling of the decoded value —
@@ -512,5 +520,149 @@ func TestQuestionInfoWireRoundTrip(t *testing.T) {
 	err := json.Unmarshal([]byte(`{"name":"x","summary":"s","fields":["f"],"sharded":true}`), &q)
 	if err == nil {
 		t.Fatal("unknown field decoded without error")
+	}
+}
+
+func TestMetricsSnapshotWireRoundTrip(t *testing.T) {
+	snap := actuary.MetricsSnapshot{
+		Workers: 5,
+		Session: actuary.SessionMetrics{
+			StreamsStarted: 3, StreamsCompleted: 2,
+			QueueDepth: 1, QueueDepthMax: 7, QueueDepthSamples: 40, QueueDepthSum: 90,
+			InFlight: 2, InFlightMax: 5,
+			WorkerBusy: 1500 * time.Millisecond, WorkerTime: 2 * time.Second,
+			PerQuestion: []actuary.QuestionMetrics{{
+				Question: actuary.QuestionSweepBest, Count: 12, Failures: 1,
+				TotalLatency: time.Second, MaxLatency: 200 * time.Millisecond,
+			}},
+		},
+		Cache: actuary.KGDCacheStats{Hits: 10, Misses: 4, Entries: 4},
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	for _, field := range []string{`"workers":5`, `"queue_depth_sum":90`,
+		`"worker_busy_ns":1500000000`, `"question":"sweep-best"`, `"cache_hits":10`} {
+		if !strings.Contains(text, field) {
+			t.Errorf("wire form lacks %s:\n%s", field, text)
+		}
+	}
+	var back actuary.MetricsSnapshot
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, snap) {
+		t.Errorf("round trip diverged:\n got %+v\nwant %+v", back, snap)
+	}
+}
+
+func TestMetricsSnapshotWireRejects(t *testing.T) {
+	cases := map[string]string{
+		"unknown field":          `{"workers":1,"bogus":2}`,
+		"negative counter":       `{"workers":-1}`,
+		"negative worker time":   `{"worker_time_ns":-5}`,
+		"negative per-question":  `{"per_question":[{"question":"sweep-best","count":-1,"total_ns":0,"max_ns":0}]}`,
+		"trailing garbage":       `{"workers":1} {}`,
+		"negative queue samples": `{"queue_depth_samples":-2}`,
+	}
+	for name, raw := range cases {
+		var snap actuary.MetricsSnapshot
+		if err := json.Unmarshal([]byte(raw), &snap); err == nil {
+			t.Errorf("%s: accepted %s", name, raw)
+		}
+	}
+}
+
+// fullMetricsSnapshot sets every field of a MetricsSnapshot to a
+// distinct value, with two per-question rows, so a dropped, renamed or
+// swapped wire field shows in the golden file.
+func fullMetricsSnapshot() actuary.MetricsSnapshot {
+	return actuary.MetricsSnapshot{
+		Workers: 6,
+		Session: actuary.SessionMetrics{
+			StreamsStarted: 11, StreamsCompleted: 9,
+			QueueDepth: 3, QueueDepthMax: 17, QueueDepthSamples: 420, QueueDepthSum: 1234,
+			InFlight: 4, InFlightMax: 8,
+			WorkerBusy: 1500 * time.Millisecond, WorkerTime: 2500 * time.Millisecond,
+			PerQuestion: []actuary.QuestionMetrics{
+				{Question: actuary.QuestionRE, Count: 400, Failures: 2,
+					TotalLatency: 800 * time.Millisecond, MaxLatency: 30 * time.Millisecond},
+				{Question: actuary.QuestionSweepBest, Count: 12, Failures: 1,
+					TotalLatency: 700 * time.Millisecond, MaxLatency: 90 * time.Millisecond},
+			},
+		},
+		Cache: actuary.KGDCacheStats{Hits: 1000, Misses: 52, Entries: 48},
+	}
+}
+
+// zeroFields lists the paths of v's struct fields, slice elements
+// included, that hold their zero value.
+func zeroFields(v reflect.Value, path string) []string {
+	switch v.Kind() {
+	case reflect.Struct:
+		var zero []string
+		for i := 0; i < v.NumField(); i++ {
+			zero = append(zero, zeroFields(v.Field(i), path+"."+v.Type().Field(i).Name)...)
+		}
+		return zero
+	case reflect.Slice:
+		var zero []string
+		if v.Len() == 0 {
+			zero = append(zero, path)
+		}
+		for i := 0; i < v.Len(); i++ {
+			zero = append(zero, zeroFields(v.Index(i), fmt.Sprintf("%s[%d]", path, i))...)
+		}
+		return zero
+	}
+	if v.IsZero() {
+		return []string{path}
+	}
+	return nil
+}
+
+// TestMetricsSnapshotGolden pins the GET /v1/metricz wire form byte for
+// byte against testdata/metricz.golden.json, then strict-decodes the
+// file back to an equal value, so an old daemon's snapshot still
+// decodes after a field changes. Regenerate with
+//
+//	go test . -run TestMetricsSnapshotGolden -update
+//
+// and say in the change which wire fields moved and why.
+func TestMetricsSnapshotGolden(t *testing.T) {
+	snap := fullMetricsSnapshot()
+	if zero := zeroFields(reflect.ValueOf(snap), "MetricsSnapshot"); len(zero) > 0 {
+		t.Fatalf("the golden snapshot leaves fields at zero: %v", zero)
+	}
+	got, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "metricz.golden.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("wire form differs from %s:\n got %s\nwant %s", path, got, want)
+	}
+	var back actuary.MetricsSnapshot
+	if err := json.Unmarshal(want, &back); err != nil {
+		t.Fatalf("strict decode of %s: %v", path, err)
+	}
+	if !reflect.DeepEqual(back, snap) {
+		t.Errorf("%s decodes to\n%+v\nwant\n%+v", path, back, snap)
 	}
 }
