@@ -32,12 +32,13 @@ type dieKey struct {
 	salvageValue    float64
 }
 
-// dieValue is the cached portion of a DieCost: everything except the
-// identity fields, which are refilled from the chiplet at hand.
+// dieValue is the cached portion of a DieCost: its raw cost and
+// yield. The identity fields are refilled from the chiplet at hand,
+// and the KGD cost is recomputed as raw / yield, the division the miss
+// path makes, so a hit carries the same bits.
 type dieValue struct {
 	raw   float64
 	yield float64
-	kgd   float64
 }
 
 // CacheStats reports the hit/miss counters of a KGD cache.
@@ -54,17 +55,17 @@ type cacheTally struct {
 	misses int64
 }
 
-// kgdCache is a bounded, concurrency-safe memoization table for die
+// KGDCache is a bounded, concurrency-safe memoization table for die
 // evaluations, backed by the sharded memo cache. Each shard evicts
 // FIFO — sweeps and portfolios revisit the same handful of die shapes
 // over and over, so recency tracking buys nothing at this working-set
 // size, and a miss-heavy sweep (every candidate a new die shape) pays
 // O(1) per insert. The table grows as dies arrive, up to its bound;
 // once full, its memory is fixed however many dies stream through.
-type kgdCache = memo.Cache[dieKey, dieValue]
+type KGDCache = memo.Cache[dieKey, dieValue]
 
 // newKGDCache builds the KGD table for db's nodes.
-func newKGDCache(max int, db *tech.Database) *kgdCache {
+func newKGDCache(max int, db *tech.Database) *KGDCache {
 	return memo.New[dieKey, dieValue](max, dieKeyHash(db))
 }
 

@@ -28,7 +28,7 @@ var ErrDoesNotFitWafer = wafer.ErrDoesNotFit
 type Engine struct {
 	db       *tech.Database
 	params   packaging.Params
-	cache    *kgdCache               // nil when memoization is disabled
+	cache    *KGDCache               // nil when memoization is disabled
 	partials *packaging.PartialCache // nil when partial memoization is disabled
 }
 
@@ -250,7 +250,7 @@ func (e *Engine) dieCostAt(c *system.Chiplet, id int, area float64, tally *cache
 		var v dieValue
 		if e.cache.Peek(key, &v) {
 			tally.hits++
-			*dc = DieCost{Name: c.Name, Node: c.Node, AreaMM2: area, Raw: v.raw, Yield: v.yield, KGD: v.kgd}
+			*dc = DieCost{Name: c.Name, Node: c.Node, AreaMM2: area, Raw: v.raw, Yield: v.yield, KGD: v.raw / v.yield}
 			return nil
 		}
 		tally.misses++
@@ -272,7 +272,7 @@ func (e *Engine) dieCostAt(c *system.Chiplet, id int, area float64, tally *cache
 		}.EffectiveYield(area)
 	}
 	kgd := raw / y
-	e.cache.Put(key, dieValue{raw: raw, yield: y, kgd: kgd})
+	e.cache.Put(key, dieValue{raw: raw, yield: y})
 	*dc = DieCost{Name: c.Name, Node: c.Node, AreaMM2: area, Raw: raw, Yield: y, KGD: kgd}
 	return nil
 }

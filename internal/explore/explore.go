@@ -72,9 +72,9 @@ func NewEvaluatorWithCache(db *tech.Database, params packaging.Params, cacheSize
 // 8k entries comfortably covers a slab-dispatched sweep. The size is a
 // bound, not an allocation: each table starts empty and grows as keys
 // arrive, and its entries hold no pointer, so the collector never
-// scans it. Full, the two hold 2.88 MiB (1.5 MiB for the partials,
-// 1.38 MiB for the shapes at 160 bytes an entry; 0.32 MiB more for a
-// full 4096-entry KGD cache); a new evaluator holds a few KiB.
+// scans it. Full, the two hold 2.25 MiB (1.125 MiB each, for the
+// partials at 120 bytes an entry and the shapes at 128; 0.25 MiB more
+// for a full 4096-entry KGD cache); a new evaluator holds a few KiB.
 const DefaultPartialsCacheSize = 8192
 
 // NewEvaluatorWithCaches additionally bounds the partial caches: one

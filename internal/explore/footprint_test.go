@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 
+	"chipletactuary/internal/cost"
+	"chipletactuary/internal/memo/memotest"
 	"chipletactuary/internal/packaging"
 	"chipletactuary/internal/race"
 	"chipletactuary/internal/system"
@@ -20,10 +22,10 @@ func liveHeap() uint64 {
 
 // TestTableFootprint pins what a default-size evaluator's memo tables
 // hold: almost nothing before any work, because each table grows as
-// keys arrive, and, once a table holds its bound, its full ring and
-// index — 0.3125 MiB for the 4096-entry KGD table, 1.5 MiB for the
-// 8192 packaging partials and 1.375 MiB for the 8192 shapes — within
-// 5%.
+// keys arrive, and, once a table holds its bound, its full rings and
+// indexes, within 5% of the bytes memotest.FullBytes derives from the
+// size of its entry — 0.25 MiB for the 4096-entry KGD table and
+// 1.125 MiB each for the 8192 packaging partials and the 8192 shapes.
 func TestTableFootprint(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -47,20 +49,21 @@ func TestTableFootprint(t *testing.T) {
 	tables := []struct {
 		name    string
 		bound   int
-		wantMiB float64
+		full    int
 		put     func(i int)
 		entries func() int
 	}{
-		{"KGD", 4096, 0.3125,
+		{"KGD", 4096, memotest.FullBytes((*cost.KGDCache)(nil), 4096),
 			func(i int) { ev.Cost.REFloor(system.Monolithic("m", "7nm", 10+float64(i)/64, 1)) },
 			func() int { return ev.Cost.CacheStats().Entries }},
-		{"packaging partials", DefaultPartialsCacheSize, 1.5,
+		{"packaging partials", DefaultPartialsCacheSize, memotest.FullBytes(ev.partials, DefaultPartialsCacheSize),
 			func(i int) {
-				ev.partials.Put(packaging.PartialKey{Scheme: packaging.MCM, Dies: 2, TotalDieAreaMM2: float64(i)},
-					packaging.PartialOutcome{})
+				var pt packaging.Partial
+				k := packaging.PartialKey{Scheme: packaging.MCM, Dies: 2, TotalDieAreaMM2: float64(i)}
+				packaging.CachedPartial(ev.partials, &params, db, k, &pt)
 			},
 			func() int { return ev.partials.Stats().Entries }},
-		{"uniform shapes", DefaultPartialsCacheSize, 1.375,
+		{"uniform shapes", DefaultPartialsCacheSize, memotest.FullBytes(ev.shapes, DefaultPartialsCacheSize),
 			func(i int) {
 				ev.shapes.Put(shapeKey{node: int32(node), scheme: uint8(packaging.MCM), k: 2, moduleArea: float64(i)},
 					shapeEntry{})
@@ -77,9 +80,10 @@ func TestTableFootprint(t *testing.T) {
 		now := liveHeap()
 		got := float64(int64(now)-int64(last)) / MiB
 		last = now
-		t.Logf("%s: %d entries hold %.4f MiB", tb.name, tb.entries(), got)
-		if got < 0.95*tb.wantMiB || got > 1.05*tb.wantMiB {
-			t.Errorf("%s: a full table holds %.4f MiB, want %.4f ± 5%%", tb.name, got, tb.wantMiB)
+		want := float64(tb.full) / MiB
+		t.Logf("%s: %d entries hold %.4f MiB, %.4f derived", tb.name, tb.entries(), got, want)
+		if got < 0.95*want || got > 1.05*want {
+			t.Errorf("%s: a full table holds %.4f MiB, want %.4f ± 5%%", tb.name, got, want)
 		}
 	}
 	runtime.KeepAlive(ev)

@@ -25,16 +25,16 @@ type shapeKey struct {
 
 // shapeEntry is everything quantity-independent about one shape that
 // the node does not give cheaply: the raw cost and yield of its die and
-// its package partial. fails marks a shape whose die or package cannot
-// be priced on the shape path; Single then takes the step path, which
-// reports the error from the key.
+// its package partial, packed as the partial table packs it. pkg.Failed
+// marks a shape whose die or package cannot be priced on the shape
+// path; Single then takes the step path, which reports the error from
+// the key.
 type shapeEntry struct {
 	raw, yield float64
-	pkg        packaging.Partial
-	fails      bool
+	pkg        packaging.PartialOutcome
 }
 
-// shapeCache is the uniform-shape table: 160 bytes an entry, no pointer.
+// shapeCache is the uniform-shape table: 128 bytes an entry, no pointer.
 type shapeCache = memo.Cache[shapeKey, shapeEntry]
 
 // newShapeCache builds the shape table for db's nodes.
@@ -82,11 +82,13 @@ func (e *Evaluator) singleShape(s *system.System, u system.Uniform, policy nre.P
 		e.priceShape(s, u, id, &ent)
 		e.shapes.Put(key, ent)
 	}
-	if ent.fails {
+	if ent.pkg.Failed {
 		return false
 	}
-	cost.UniformBreakdown(s, u, ent.raw, ent.yield, &ent.pkg, &tc.RE)
-	tc.NRE = nre.AmortizeUniform(e.db.NodeByID(id), u, s.Scheme, &ent.pkg, s.Quantity, policy)
+	var pt packaging.Partial
+	ent.pkg.Unpack(&pt)
+	cost.UniformBreakdown(s, u, ent.raw, ent.yield, &pt, &tc.RE)
+	tc.NRE = nre.AmortizeUniform(e.db.NodeByID(id), u, s.Scheme, &pt, s.Quantity, policy)
 	return true
 }
 
@@ -95,16 +97,18 @@ func (e *Evaluator) singleShape(s *system.System, u system.Uniform, policy nre.P
 // package prices, as REUniform would run only then — so the KGD and
 // partial tables see the keys the step path would show them.
 func (e *Evaluator) priceShape(s *system.System, u system.Uniform, id int, ent *shapeEntry) {
-	if err := packaging.CachedPartial(e.partials, &e.params, e.db, u.PackageKey(s.Scheme, s.Flow), &ent.pkg); err != nil {
-		*ent = shapeEntry{fails: true}
+	failed := shapeEntry{pkg: packaging.PartialOutcome{Failed: true}}
+	var pt packaging.Partial
+	if err := packaging.CachedPartial(e.partials, &e.params, e.db, u.PackageKey(s.Scheme, s.Flow), &pt); err != nil {
+		*ent = failed
 		return
 	}
 	dc, err := e.Cost.UniformDie(s, u, id)
 	// A validated database cannot price a die below zero or at NaN; the
 	// check stays as a defense, sending such a shape to the step path.
 	if err != nil || !(dc.KGD >= 0) {
-		*ent = shapeEntry{fails: true}
+		*ent = failed
 		return
 	}
-	ent.raw, ent.yield, ent.fails = dc.Raw, dc.Yield, false
+	*ent = shapeEntry{raw: dc.Raw, yield: dc.Yield, pkg: packaging.Outcome(&pt, nil)}
 }

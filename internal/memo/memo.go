@@ -6,8 +6,8 @@
 // over 16 shards by the top bits of the result. Each shard holds at
 // most perMax entries, its share of the bound, in two arrays:
 //
-//   - a ring of entries {hash, key, value} in insertion order, which
-//     is also the FIFO eviction order, and
+//   - a ring of entries {key, value} in insertion order, which is
+//     also the FIFO eviction order, and
 //   - an open-addressed index of at least twice the ring's length in
 //     words, a power of two, probed linearly. A word is
 //     tag<<32 | slot+1, zero when the word is free. The tag is the low
@@ -29,18 +29,24 @@
 // they would crowd a few shards and lengthen probes.
 //
 // Every operation holds its shard's mutex for a few index probes and
-// one entry copy. A plain mutex, not a read-write lock: on a
-// miss-heavy sweep each miss is followed by an insert, and a writer
-// waiting out readers parks goroutines. Get counts hits and misses in
-// the shard, under the lock it already holds. Callers that batch their
-// accounting (one tally per system, as the KGD cache does) publish via
-// Note instead; Stats sums both.
+// one entry copy; a Put that evicts also rehashes its victim's key. A
+// plain mutex, not a read-write lock: on a miss-heavy sweep each miss
+// is followed by an insert, and a writer waiting out readers parks
+// goroutines. Get counts hits and misses in the shard, under the lock
+// it already holds. Callers that batch their accounting (one tally per
+// system, as the KGD cache does) publish via Note instead; Stats sums
+// both.
 //
-// The hash must agree with ==: equal keys must hash equally. A key
-// that is not equal to itself (a NaN field) is stored but never found.
+// An entry does not store its hash: eviction, the one step that needs
+// the hash of a key it was not handed, recomputes it from the victim's
+// key under the shard's lock. So the hash must be a pure function of
+// the key that never calls into the cache, and it must agree with ==:
+// equal keys must hash equally. A key that is not equal to itself (a
+// NaN field) is stored but never found.
 package memo
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -59,9 +65,8 @@ type Stats struct {
 }
 
 type entry[K comparable, V any] struct {
-	hash uint64 // mix of the caller's hash
-	key  K
-	val  V
+	key K
+	val V
 }
 
 type shard[K comparable, V any] struct {
@@ -90,14 +95,14 @@ type Cache[K comparable, V any] struct {
 }
 
 // New builds a cache bounded to roughly max entries (rounded up to a
-// multiple of the shard count), distributing keys with hash. A max
-// below 1 returns nil — the disabled cache. No shard holds a ring yet;
-// each grows its own as keys arrive.
+// multiple of the shard count, and at most 2³¹−1 a shard), distributing
+// keys with hash. A max below 1 returns nil — the disabled cache. No
+// shard holds a ring yet; each grows its own as keys arrive.
 func New[K comparable, V any](max int, hash func(K) uint64) *Cache[K, V] {
 	if max < 1 {
 		return nil
 	}
-	c := &Cache[K, V]{hash: hash, perMax: (max + shardCount - 1) / shardCount}
+	c := &Cache[K, V]{hash: hash, perMax: shardBound(max)}
 	// Every shard starts with 2 free words, so an empty shard's probe
 	// misses at once; one block holds all of them.
 	index := make([]uint64, 2*shardCount)
@@ -107,6 +112,15 @@ func New[K comparable, V any](max int, hash func(K) uint64) *Cache[K, V] {
 		sh.mask = 1
 	}
 	return c
+}
+
+// shardBound is each shard's share of a bound max ≥ 1: max/shardCount
+// rounded up, computed so that no max overflows, and at most
+// math.MaxInt32. An index word keeps a slot+1 in its low 32 bits and a
+// home position in its 32-bit tag, so a shard's ring may not pass 2³¹−1
+// entries nor its index 2³² words.
+func shardBound(max int) int {
+	return min((max-1)/shardCount+1, math.MaxInt32)
 }
 
 // HashPrime is FNV-1a's 64-bit prime. The cost model's tables fold
@@ -166,11 +180,12 @@ func (sh *shard[K, V]) find(h uint64, k K) int {
 	}
 }
 
-// unindex removes the word pointing at slot and shifts later words of
-// its probe run back into the gap, so no tombstone is left behind.
-func (sh *shard[K, V]) unindex(slot int) {
+// unindex removes the word pointing at slot, whose key has the
+// finalized hash h, and shifts later words of its probe run back into
+// the gap, so no tombstone is left behind.
+func (sh *shard[K, V]) unindex(slot int, h uint64) {
 	want := uint32(slot + 1)
-	i := sh.ring[slot].hash & sh.mask
+	i := h & sh.mask
 	for uint32(sh.index[i]) != want {
 		i = (i + 1) & sh.mask
 	}
@@ -194,7 +209,7 @@ func (sh *shard[K, V]) unindex(slot int) {
 // Get copies the cached value for k into *v, which the caller owns,
 // and reports whether k was cached, counting a hit or a miss; a miss
 // leaves *v as it was. The value is copied once, from the entry
-// straight into *v: the cost model's values are up to 136 bytes.
+// straight into *v: the cost model's values are up to 104 bytes.
 func (c *Cache[K, V]) Get(k K, v *V) bool {
 	if c == nil {
 		return false
@@ -277,11 +292,11 @@ func (c *Cache[K, V]) Put(k K, v V) {
 		sh.n++
 	} else {
 		slot = sh.next
-		sh.unindex(slot)
+		sh.unindex(slot, mix(c.hash(sh.ring[slot].key)))
 		sh.next = (sh.next + 1) % len(sh.ring)
 	}
 	e := &sh.ring[slot]
-	e.hash, e.key, e.val = h, k, v
+	e.key, e.val = k, v
 	i := h & sh.mask
 	for sh.index[i] != 0 {
 		i = (i + 1) & sh.mask

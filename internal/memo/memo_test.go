@@ -204,11 +204,11 @@ func checkIndex[K comparable, V any](t *testing.T, c *Cache[K, V]) {
 				t.Fatalf("shard %d word %d: bad or repeated slot %d (n=%d)", s, j, slot, sh.n)
 			}
 			seen[slot] = true
-			e := sh.ring[slot]
-			if w>>32 != e.hash&0xffffffff {
+			h := mix(c.hash(sh.ring[slot].key))
+			if w>>32 != h&0xffffffff {
 				t.Fatalf("shard %d word %d: tag mismatch", s, j)
 			}
-			for i := e.hash & sh.mask; i != uint64(j); i = (i + 1) & sh.mask {
+			for i := h & sh.mask; i != uint64(j); i = (i + 1) & sh.mask {
 				if sh.index[i] == 0 {
 					t.Fatalf("shard %d: free word %d inside the probe run of slot %d", s, i, slot)
 				}
@@ -440,7 +440,7 @@ func TestStructuredHashProbeLength(t *testing.T) {
 	total := 0
 	for j, w := range sh.index {
 		if w != 0 {
-			home := sh.ring[uint32(w)-1].hash & sh.mask
+			home := mix(hash(sh.ring[uint32(w)-1].key)) & sh.mask
 			total += int((uint64(j)-home)&sh.mask) + 1
 		}
 	}
@@ -550,4 +550,45 @@ func TestConcurrentEviction(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	checkIndex(t, c)
+}
+
+// TestHugeBound builds tables at the largest bounds, where rounding
+// max/16 up as (max+15)/16 would overflow: each must put, get and
+// count its keys without evicting. At a bound above 16·(2³¹−1) a shard
+// holds 2³¹−1 entries, the most its index words can name, so filling
+// one to eviction is out of a test's reach; TestShardBound pins the
+// share instead.
+func TestHugeBound(t *testing.T) {
+	for _, max := range []int{math.MaxInt, math.MaxInt - 15} {
+		c := New[int, int](max, intHash)
+		const keys = 1000
+		for i := 0; i < keys; i++ {
+			c.Put(i, -i)
+		}
+		for i := 0; i < keys; i++ {
+			if v := 0; !c.Get(i, &v) || v != -i {
+				t.Fatalf("New(%d): key %d gave %d, want %d", max, i, v, -i)
+			}
+		}
+		if st := c.Stats(); st.Hits != keys || st.Misses != 0 || st.Entries != keys {
+			t.Fatalf("New(%d): stats %+v, want %d hits and entries", max, st, keys)
+		}
+		checkIndex(t, c)
+	}
+}
+
+// TestShardBound pins each shard's share of a bound: max/16 rounded
+// up, with no overflow, capped where an index word's 32 slot bits end.
+func TestShardBound(t *testing.T) {
+	for _, c := range []struct{ max, want int }{
+		{1, 1}, {16, 1}, {17, 2}, {8192, 512},
+		{16 * math.MaxInt32, math.MaxInt32},
+		{16*math.MaxInt32 + 1, math.MaxInt32},
+		{math.MaxInt - 15, math.MaxInt32},
+		{math.MaxInt, math.MaxInt32},
+	} {
+		if got := shardBound(c.max); got != c.want {
+			t.Errorf("shardBound(%d) = %d, want %d", c.max, got, c.want)
+		}
+	}
 }

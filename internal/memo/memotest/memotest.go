@@ -4,6 +4,9 @@ package memotest
 import (
 	"reflect"
 	"testing"
+	"unsafe"
+
+	"chipletactuary/internal/memo"
 )
 
 // PointerFree fails t when the key type K or the value type V of a
@@ -39,3 +42,27 @@ func pointerPath(t reflect.Type, path string) string {
 	}
 	return ""
 }
+
+// FullBytes returns the bytes a memo table of bound max with key K and
+// value V holds once each of its 16 shards holds its share, ⌈max/16⌉
+// entries: a ring of that many {K, V} entries and an index of the
+// smallest power of two, at least 2, of 8-byte words that is at least
+// twice as many, each block rounded up to the allocator's size class.
+// Only the table's type is read; pass a nil one to name it.
+func FullBytes[K comparable, V any](_ *memo.Cache[K, V], max int) int {
+	per := (max + 15) / 16
+	words := 2
+	for words < 2*per {
+		words *= 2
+	}
+	entry := int(unsafe.Sizeof(struct {
+		k K
+		v V
+	}{}))
+	return 16 * (sizeClass(per*entry) + sizeClass(8*words))
+}
+
+// sizeClass returns the size of the block the allocator hands out for
+// n bytes of pointer-free data: appending n bytes to a nil slice rounds
+// its capacity up to exactly that.
+func sizeClass(n int) int { return cap(append([]byte(nil), make([]byte, n)...)) }

@@ -132,9 +132,10 @@ func (r Result) Total() float64 {
 // geometry, yields, and per-package costs — everything in Result
 // except WastedKGD, which additionally scales with the total KGD cost
 // of the dies entering assembly. Two assemblies with equal keys
-// produce bit-identical Results once WastedKGD is applied, so the key
-// is exactly the memoization key for the sweep hot path: within an
-// innermost-axis run, adjacent candidates share (scheme, area, count).
+// produce bit-identical Results once WastedKGD is applied, so the key,
+// packed, is exactly the memoization key for the sweep hot path: within
+// an innermost-axis run, adjacent candidates share (scheme, area,
+// count).
 type PartialKey struct {
 	Scheme Scheme
 	Flow   Flow
@@ -147,59 +148,148 @@ type PartialKey struct {
 	InterposerOverrideMM2 float64
 }
 
-// Hash mixes the key for the shard-selection function of a memo
-// cache: FNV-1a's multiply folded over whole words (the scheme, flow
-// and die-count word, then the three area words), as the evaluator's
-// shape table hashes its keys. The memo table runs every hash through
-// its own finalizer before picking a shard and an index position, so a
-// byte-at-a-time fold would buy nothing for its 32 multiplies.
-func (k PartialKey) Hash() uint64 {
+// partialKey is a PartialKey as the partial table holds it: the
+// scheme, flow and die count packed into one word, scheme<<32 |
+// flow<<16 | dies, then the three areas. pack refuses a key whose
+// fields do not fit that word, so two different PartialKeys never
+// share a partialKey.
+type partialKey struct {
+	shape                 uint64
+	totalDieAreaMM2       float64
+	footprintOverrideMM2  float64
+	interposerOverrideMM2 float64
+}
+
+// pack returns k's table key, or false when k's scheme does not fit in
+// 32 bits or its flow or die count in 16; CachedPartial prices such a
+// key without the table. The schemes and flows that price are the
+// named constants, and a validated system mounts at most 4096 dies, so
+// the keys that skip the table are ones no real package has.
+func (k *PartialKey) pack() (partialKey, bool) {
+	if uint64(k.Scheme) > math.MaxUint32 || uint64(k.Flow) > math.MaxUint16 || uint64(k.Dies) > math.MaxUint16 {
+		return partialKey{}, false
+	}
+	return partialKey{
+		shape:                 uint64(k.Scheme)<<32 | uint64(k.Flow)<<16 | uint64(k.Dies),
+		totalDieAreaMM2:       k.TotalDieAreaMM2,
+		footprintOverrideMM2:  k.FootprintOverrideMM2,
+		interposerOverrideMM2: k.InterposerOverrideMM2,
+	}, true
+}
+
+// hash mixes the key for the shard-selection function of a memo
+// cache: FNV-1a's multiply folded over whole words (the packed scheme,
+// flow and die-count word, then the three area words), as the
+// evaluator's shape table hashes its keys. The memo table runs every
+// hash through its own finalizer before picking a shard and an index
+// position, so a byte-at-a-time fold would buy nothing for its 32
+// multiplies.
+func (k partialKey) hash() uint64 {
 	h := uint64(14695981039346656037) // FNV-1a's 64-bit offset basis
-	h = (h ^ (uint64(k.Scheme)<<32 | uint64(k.Flow)<<16 | uint64(uint32(k.Dies)))) * memo.HashPrime
-	h = (h ^ math.Float64bits(k.TotalDieAreaMM2)) * memo.HashPrime
-	h = (h ^ math.Float64bits(k.FootprintOverrideMM2)) * memo.HashPrime
-	h = (h ^ math.Float64bits(k.InterposerOverrideMM2)) * memo.HashPrime
+	h = (h ^ k.shape) * memo.HashPrime
+	h = (h ^ math.Float64bits(k.totalDieAreaMM2)) * memo.HashPrime
+	h = (h ^ math.Float64bits(k.footprintOverrideMM2)) * memo.HashPrime
+	h = (h ^ math.Float64bits(k.interposerOverrideMM2)) * memo.HashPrime
 	return h
 }
 
-// PartialOutcome is the memoized outcome of PartialFor: the partial,
-// or Failed when PartialFor returned an error. Errors are fully
-// determined by the key (scheme, flow, geometry feasibility), so
-// CachedPartial replays a failure by calling PartialFor again instead
-// of storing the error: the table's entries hold no pointer, and the
-// collector never scans them.
+// PartialOutcome is a memoized outcome of PartialFor, as the partial
+// table and the evaluator's shape table hold it: Failed when PartialFor
+// returned an error, and otherwise the partial, packed into 88 bytes.
+// Errors are fully determined by the key (scheme, flow, geometry
+// feasibility), so CachedPartial replays a failure by calling
+// PartialFor again instead of storing the error: the outcome holds no
+// pointer, and the collector never scans a table of them. The packed
+// partial keeps the Result's nine other floats and the loss factor,
+// and the scheme and flow in a byte each, as PartialFor wrote them: a
+// partial that prices has a scheme of 0–3 and a flow of 0–1 (0 for
+// the organic schemes, whatever the key's flow). It drops WastedKGD,
+// which a partial leaves zero.
 type PartialOutcome struct {
-	Partial Partial
-	Failed  bool
+	rawPackage, packageDefects, yield                        float64
+	footprintMM2, interposerAreaMM2, substrateAreaMM2        float64
+	rawInterposer, rawSubstrate, assemblyCost, kgdLossFactor float64
+	scheme, flow                                             uint8
+	Failed                                                   bool
+}
+
+// Outcome packs the outcome of a PartialFor call that wrote *pt and
+// returned err.
+func Outcome(pt *Partial, err error) PartialOutcome {
+	if err != nil {
+		return PartialOutcome{Failed: true}
+	}
+	r := &pt.Result
+	return PartialOutcome{
+		rawPackage:        r.RawPackage,
+		packageDefects:    r.PackageDefects,
+		yield:             r.Yield,
+		footprintMM2:      r.FootprintMM2,
+		interposerAreaMM2: r.InterposerAreaMM2,
+		substrateAreaMM2:  r.SubstrateAreaMM2,
+		rawInterposer:     r.RawInterposer,
+		rawSubstrate:      r.RawSubstrate,
+		assemblyCost:      r.AssemblyCost,
+		kgdLossFactor:     pt.KGDLossFactor,
+		scheme:            uint8(r.Scheme),
+		flow:              uint8(r.Flow),
+	}
+}
+
+// Unpack writes into *pt the partial a successful outcome packed, bit
+// for bit as PartialFor wrote it. A failed outcome holds no partial.
+func (o *PartialOutcome) Unpack(pt *Partial) {
+	*pt = Partial{
+		Result: Result{
+			Scheme:            Scheme(o.scheme),
+			Flow:              Flow(o.flow),
+			RawPackage:        o.rawPackage,
+			PackageDefects:    o.packageDefects,
+			Yield:             o.yield,
+			FootprintMM2:      o.footprintMM2,
+			InterposerAreaMM2: o.interposerAreaMM2,
+			SubstrateAreaMM2:  o.substrateAreaMM2,
+			RawInterposer:     o.rawInterposer,
+			RawSubstrate:      o.rawSubstrate,
+			AssemblyCost:      o.assemblyCost,
+		},
+		KGDLossFactor: o.kgdLossFactor,
+	}
 }
 
 // PartialCache memoizes packaging partials. One instance is shared by
 // the cost and NRE engines of an evaluator (and by its uniform-shape
 // table, which prices a shape's package here once), so that a sweep
-// point's package is priced once however many engines need it.
-type PartialCache = memo.Cache[PartialKey, PartialOutcome]
+// point's package is priced once however many engines need it. An
+// entry is 120 bytes: a 32-byte partialKey and a PartialOutcome.
+type PartialCache = memo.Cache[partialKey, PartialOutcome]
 
 // NewPartialCache builds a bounded partial cache; max < 1 returns the
 // nil (disabled) cache, on which CachedPartial degrades to PartialFor.
 func NewPartialCache(max int) *PartialCache {
-	return memo.New[PartialKey, PartialOutcome](max, PartialKey.Hash)
+	return memo.New[partialKey, PartialOutcome](max, partialKey.hash)
 }
 
 // CachedPartial is PartialFor through a (possibly nil) cache: it
 // writes the partial for k into *pt, which the caller owns, and on an
 // error leaves *pt the zero Partial, as PartialFor returns it. Params
-// (160 bytes) and the partial (104 bytes) pass by pointer.
+// (160 bytes) and the partial (104 bytes) pass by pointer. A key that
+// does not pack skips the cache.
 func CachedPartial(c *PartialCache, p *Params, db *tech.Database, k PartialKey, pt *Partial) error {
+	pk, ok := k.pack()
+	if !ok {
+		return p.partial(db, k, pt)
+	}
 	var out PartialOutcome
-	if c.Get(k, &out) {
+	if c.Get(pk, &out) {
 		if out.Failed {
 			return p.partial(db, k, pt)
 		}
-		*pt = out.Partial
+		out.Unpack(pt)
 		return nil
 	}
 	err := p.partial(db, k, pt)
-	c.Put(k, PartialOutcome{Partial: *pt, Failed: err != nil})
+	c.Put(pk, Outcome(pt, err))
 	return err
 }
 

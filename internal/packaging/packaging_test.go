@@ -350,7 +350,7 @@ func TestNREFactorsOrdering(t *testing.T) {
 }
 
 func TestPartialTablePointerFree(t *testing.T) {
-	memotest.PointerFree[PartialKey, PartialOutcome](t)
+	memotest.PointerFree[partialKey, PartialOutcome](t)
 }
 
 // TestCachedPartialReplaysFailure checks that a cached failure, stored

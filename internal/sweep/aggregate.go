@@ -245,13 +245,11 @@ func (p *Pareto[T]) Observe(item T) {
 	p.observe(item)
 }
 
-// observe inserts without counting, shared by Observe and Merge.
+// observe inserts without counting, shared by Observe and Merge. The
+// tie-break key is built only for an exact (x, y) tie or an insertion:
+// a dominated arrival never needs one.
 func (p *Pareto[T]) observe(item T) {
 	x, y := p.objectives(item)
-	var key string
-	if p.key != nil {
-		key = p.key(item)
-	}
 	// Invariant: strictly ascending x, strictly descending y. i is the
 	// insertion position — the first entry with x ≥ the newcomer's.
 	i := sort.Search(len(p.front), func(j int) bool { return p.front[j].x >= x })
@@ -264,8 +262,10 @@ func (p *Pareto[T]) observe(item T) {
 		return
 	}
 	if i < len(p.front) && p.front[i].x == x && p.front[i].y <= y {
-		if p.front[i].y == y && p.key != nil && key < p.front[i].key {
-			p.front[i] = paretoEntry[T]{x: x, y: y, key: key, item: item}
+		if p.front[i].y == y && p.key != nil {
+			if key := p.key(item); key < p.front[i].key {
+				p.front[i] = paretoEntry[T]{x: x, y: y, key: key, item: item}
+			}
 		}
 		return
 	}
@@ -274,6 +274,10 @@ func (p *Pareto[T]) observe(item T) {
 	j := i
 	for j < len(p.front) && p.front[j].y >= y {
 		j++
+	}
+	var key string
+	if p.key != nil {
+		key = p.key(item)
 	}
 	p.front = slices.Replace(p.front, i, j, paretoEntry[T]{x: x, y: y, key: key, item: item})
 }

@@ -387,6 +387,34 @@ func TestTopKSetStateRejectsCorrupt(t *testing.T) {
 
 // TestParetoStateRoundTrip mirrors the TopK round trip for fronts,
 // and checks that a dominated entry smuggled into a state is dropped.
+// TestParetoKeyOnlyWhenNeeded checks that the tie-break key is built
+// for an insertion and an exact (x, y) tie, and never for a dominated
+// arrival: from the left, at an equal x, or by an equal y.
+func TestParetoKeyOnlyWhenNeeded(t *testing.T) {
+	calls := map[string]int{}
+	p := NewPareto(func(b biObj) (float64, float64) { return b.x, b.y }).
+		TieBreak(func(b biObj) string { calls[b.id]++; return b.id })
+	for _, b := range []biObj{{id: "a", x: 1, y: 5}, {id: "b", x: 3, y: 3}, {id: "c", x: 5, y: 1}} {
+		p.Observe(b)
+	}
+	for _, b := range []biObj{
+		{id: "left", x: 2, y: 6},    // a dominates it from the left
+		{id: "equal-x", x: 3, y: 4}, // b has its x and a better y
+		{id: "equal-y", x: 4, y: 3}, // b has its y and a better x
+		{id: "both", x: 9, y: 9},
+	} {
+		p.Observe(b)
+	}
+	p.Observe(biObj{id: "tie", x: 3, y: 3})
+	want := map[string]int{"a": 1, "b": 1, "c": 1, "tie": 1}
+	if fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Fatalf("key built %v, want %v", calls, want)
+	}
+	if front := p.Front(); len(front) != 3 || front[1].id != "b" {
+		t.Fatalf("front %v, want a, b, c", front)
+	}
+}
+
 func TestParetoStateRoundTrip(t *testing.T) {
 	obj := func(p biObj) (float64, float64) { return p.x, p.y }
 	key := func(p biObj) string { return p.id }

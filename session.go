@@ -330,8 +330,8 @@ func WithPartialsCacheSize(n int) Option {
 // tuple, so 8192 holds every partial and shape of the paper's sweep
 // workloads at once. The size bounds each table; neither is allocated
 // at it. Both start empty, grow as keys arrive and hold no pointer;
-// full, they hold 1.5 MiB for the partials and 1.38 MiB (160 bytes an
-// entry) for the shapes, and a new Session holds a few KiB of table.
+// full, they hold 1.125 MiB each (120 bytes an entry for the partials,
+// 128 for the shapes), and a new Session holds a few KiB of table.
 const DefaultPartialsCacheSize = explore.DefaultPartialsCacheSize
 
 // PartialsStats reports the partial-result caches' counters (see

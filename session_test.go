@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -241,6 +242,29 @@ func TestSessionCachedMatchesUncached(t *testing.T) {
 	}
 	if st := uncached.CacheStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("disabled cache recorded traffic: %+v", st)
+	}
+}
+
+// TestSessionHugeCacheBounds checks that the largest table bounds
+// price like the defaults, cold and warm: a bound near math.MaxInt
+// must not wrap a table shard's share of it negative.
+func TestSessionHugeCacheBounds(t *testing.T) {
+	reqs := []actuary.Request{{Question: actuary.QuestionTotalCost, System: mcmSystem(t, "m", 500, 4, 1_000_000)}}
+	want := newTestSession(t).Evaluate(context.Background(), reqs)[0]
+	for _, n := range []int{math.MaxInt, math.MaxInt - 15} {
+		s := newTestSession(t, actuary.WithCacheSize(n), actuary.WithPartialsCacheSize(n))
+		for pass := 0; pass < 2; pass++ {
+			got := s.Evaluate(context.Background(), reqs)[0]
+			if got.Err != nil || want.Err != nil {
+				t.Fatalf("bound %d, pass %d failed: %v / %v", n, pass, got.Err, want.Err)
+			}
+			if fmt.Sprintf("%#v", got.TotalCost) != fmt.Sprintf("%#v", want.TotalCost) {
+				t.Errorf("bound %d, pass %d: %#v, want %#v", n, pass, got.TotalCost, want.TotalCost)
+			}
+		}
+		if st := s.PartialsCacheStats().NRE; st.Hits != 1 || st.Entries != 1 {
+			t.Errorf("bound %d: shape table %+v, want 1 hit and 1 entry", n, st)
+		}
 	}
 }
 
