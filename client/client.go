@@ -326,7 +326,7 @@ type Status struct {
 	// (GET /v1/metricz), "metrics" (Prometheus text fallback) or
 	// "session" (an in-process Session).
 	Source string
-	// Workers is the backend's worker-pool target width (0 when the
+	// Workers is the backend's worker-pool width (0 when the
 	// surface does not report it).
 	Workers int
 	// QueueDepth and InFlight are the instantaneous back-pressure

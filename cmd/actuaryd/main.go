@@ -6,7 +6,10 @@
 //
 //	actuaryd [-addr :8833] [-tech tech.json] [-workers N] [-inflight N]
 //	         [-cache N] [-partials-cache N]
-//	         [-workers-min N -workers-max N [-resize-every D]]
+//
+// -workers fixes the session's worker pool width (default: one per
+// CPU); it is observable as actuary_workers on /metrics and "workers"
+// on /v1/metricz.
 //
 // -cache bounds the KGD table (default 4096 entries) and
 // -partials-cache the packaging-partial and uniform-shape tables
@@ -21,13 +24,6 @@
 //	GET  /v1/metricz    metrics snapshot as canonical JSON
 //	GET  /healthz       liveness
 //	GET  /metrics       back-pressure + cache counters
-//
-// With -workers-min/-workers-max the worker pool is elastic: a
-// fleet.Resizer watches the session's back-pressure metrics every
-// -resize-every and walks the pool width within the bounds — growing
-// under sustained saturation, shrinking when workers sit idle. The
-// current width is observable as actuary_workers on /metrics and
-// "workers" on /v1/metricz.
 //
 // The daemon prints "actuaryd listening on http://HOST:PORT" once the
 // listener is up (with -addr :0 the kernel-assigned port appears
@@ -51,7 +47,6 @@ import (
 	"time"
 
 	"chipletactuary"
-	"chipletactuary/fleet"
 	"chipletactuary/server"
 )
 
@@ -69,7 +64,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	addr := fs.String("addr", ":8833", "listen address (use :0 for a kernel-assigned port)")
 	sf := addSessionFlags(fs)
 	inFlight := fs.Int("inflight", 0, "per-stream in-flight bound (default: twice the worker count)")
-	resizeEvery := fs.Duration("resize-every", 2*time.Second, "elastic pool resize interval (needs -workers-min/-workers-max)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
 	fs.SetOutput(out)
@@ -84,15 +78,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	session, err := actuary.NewSession(opts...)
 	if err != nil {
 		return err
-	}
-	if sf.elastic() {
-		resizer, err := fleet.NewResizer(session, fleet.ResizeEvery(*resizeEvery))
-		if err != nil {
-			return err
-		}
-		resizeCtx, stopResize := context.WithCancel(context.Background())
-		defer stopResize()
-		go resizer.Run(resizeCtx)
 	}
 	var srvOpts []server.Option
 	if *inFlight > 0 {
@@ -166,23 +151,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 // sessionFlags are the flags that shape the daemon's Session.
 type sessionFlags struct {
-	tech                            string
-	workers, workersMin, workersMax int
-	cacheSize, partialsSize         int
+	tech                    string
+	workers                 int
+	cacheSize, partialsSize int
 }
 
 func addSessionFlags(fs *flag.FlagSet) *sessionFlags {
 	f := new(sessionFlags)
 	fs.StringVar(&f.tech, "tech", "", "optional technology database JSON (default: built-in)")
 	fs.IntVar(&f.workers, "workers", 0, "session worker pool width (default: one per CPU)")
-	fs.IntVar(&f.workersMin, "workers-min", 0, "lower bound for the elastic worker pool (with -workers-max)")
-	fs.IntVar(&f.workersMax, "workers-max", 0, "upper bound for the elastic worker pool (with -workers-min)")
 	fs.IntVar(&f.cacheSize, "cache", actuary.DefaultCacheSize, "KGD cache entries (0 disables memoization)")
 	fs.IntVar(&f.partialsSize, "partials-cache", actuary.DefaultPartialsCacheSize, "entries in each of the packaging-partial and uniform-shape tables (0 disables memoization)")
 	return f
 }
-
-func (f *sessionFlags) elastic() bool { return f.workersMin != 0 || f.workersMax != 0 }
 
 // options maps the flags to Session options. Both cache sizes are
 // always passed, so 0 disables memoization; a negative size is a usage
@@ -205,9 +186,6 @@ func (f *sessionFlags) options() ([]actuary.Option, error) {
 		actuary.WithCacheSize(f.cacheSize), actuary.WithPartialsCacheSize(f.partialsSize)}
 	if f.workers > 0 {
 		opts = append(opts, actuary.WithWorkers(f.workers))
-	}
-	if f.elastic() {
-		opts = append(opts, actuary.WithWorkerBounds(f.workersMin, f.workersMax))
 	}
 	return opts, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -81,5 +82,40 @@ func TestCacheFlags(t *testing.T) {
 				t.Fatalf("-%s -1: err = %v, want a usage error naming the flag", flagName, err)
 			}
 		})
+	}
+}
+
+// TestWorkersFlag checks that -workers fixes the pool width, that the
+// default is one worker per CPU, and that the removed elastic-pool
+// flags fail to parse: a command line written for them must fail
+// loudly, not serve a different pool.
+func TestWorkersFlag(t *testing.T) {
+	s, err := sessionFromArgs(t, "-workers", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Workers(); got != 3 {
+		t.Errorf("-workers 3: Workers() = %d, want 3", got)
+	}
+	if s, err = sessionFromArgs(t); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("no -workers: Workers() = %d, want GOMAXPROCS %d", got, want)
+	}
+	// A canceled context makes run return at once if it ever gets past
+	// parsing, so a wrongly accepted flag fails the test instead of
+	// serving.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-workers-min", "2"},
+		{"-workers-max", "16"},
+		{"-resize-every", "2s"},
+	} {
+		err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s: err = %v, want a parse error naming the flag", strings.Join(args, " "), err)
+		}
 	}
 }

@@ -20,11 +20,11 @@ const DefaultOverPartition = 4
 
 // Event is one scheduling occurrence worth surfacing: a backend
 // marked down or up, a shard stolen or speculatively re-executed, a
-// duplicate result discarded, a backend joining mid-sweep, a worker
-// pool resized. Backend is the member name ("" for run-level events).
+// duplicate result discarded, a backend joining mid-sweep. Backend is
+// the member name ("" for run-level events).
 type Event struct {
 	Backend string
-	Kind    string // "mark-down", "mark-up", "join", "steal", "speculate", "duplicate", "resize", "yield"
+	Kind    string // "mark-down", "mark-up", "join", "steal", "speculate", "duplicate", "yield"
 	Detail  string
 }
 

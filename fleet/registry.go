@@ -12,7 +12,7 @@
 // made durable: the shard is the checkpoint unit
 // (CoordinatorCheckpoint, FleetStreamCheckpoint).
 //
-// The scheduler scales from a fixed list to an elastic, health-aware
+// The scheduler scales from a fixed list to a dynamic, health-aware
 // pool:
 //
 //   - a Registry backends can join and leave while a sweep is running,
@@ -20,9 +20,7 @@
 //     mark-down/mark-up decisions and scheduling weights,
 //   - a scheduler that over-partitions the sweep, steals work from
 //     slow or dead backends, and speculatively re-executes the last
-//     in-flight shards so one straggler cannot hold the run hostage,
-//   - a Resizer that grows and shrinks an in-process Session's worker
-//     pool from its own back-pressure metrics.
+//     in-flight shards so one straggler cannot hold the run hostage.
 //
 // Without a monitor and with WithSpeculation(false) and one shard per
 // backend (WithOverPartition(1)), a shard runs on one backend at a

@@ -182,11 +182,17 @@ func (sh *shard[K, V]) find(h uint64, k K) int {
 
 // unindex removes the word pointing at slot, whose key has the
 // finalized hash h, and shifts later words of its probe run back into
-// the gap, so no tombstone is left behind.
+// the gap, so no tombstone is left behind. The word lies in the probe
+// run that starts at its home, h's position; a free word before it
+// means h is not the hash the word was inserted under, which only a
+// bug can cause, so unindex panics rather than scan the whole index.
 func (sh *shard[K, V]) unindex(slot int, h uint64) {
 	want := uint32(slot + 1)
 	i := h & sh.mask
-	for uint32(sh.index[i]) != want {
+	for w := sh.index[i]; uint32(w) != want; w = sh.index[i] {
+		if w == 0 {
+			panic("memo: evicted entry missing from its probe run")
+		}
 		i = (i + 1) & sh.mask
 	}
 	for j := (i + 1) & sh.mask; ; j = (j + 1) & sh.mask {

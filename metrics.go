@@ -11,7 +11,8 @@ import (
 // between the pump and the workers, requests in flight, worker busy
 // time against worker lifetime, and per-question latency. Server
 // deployments read them through Session.Metrics (and actuaryd's
-// GET /metrics) to decide when to scale worker width.
+// GET /metrics) to tell whether generation, the pool or the consumer
+// holds a stream back.
 
 // questionCount sizes the per-question counter table.
 const questionCount = int(QuestionSearchBest) + 1
@@ -235,68 +236,6 @@ func (m SessionMetrics) Failures() int64 {
 		n += q.Failures
 	}
 	return n
-}
-
-// MetricsDelta is the activity between two SessionMetrics snapshots
-// of the same session — the windowed form of the back-pressure
-// signal. Cumulative counters make a long-lived daemon's lifetime
-// utilization converge to a constant; a controller deciding whether
-// the pool is busy *now* (fleet.Resizer) needs the interval view.
-type MetricsDelta struct {
-	// Requests and Failures count results retired during the window.
-	Requests int64
-	Failures int64
-	// WorkerBusy and WorkerTime are the window's shares of the
-	// cumulative busy/lifetime counters.
-	WorkerBusy time.Duration
-	WorkerTime time.Duration
-	// QueueDepthSamples and QueueDepthSum are the window's queue-depth
-	// observations.
-	QueueDepthSamples int64
-	QueueDepthSum     int64
-}
-
-// Delta returns the activity between an earlier snapshot prev and
-// this one. Negative intervals (snapshots swapped, or from different
-// sessions) clamp to zero rather than reporting nonsense.
-func (m SessionMetrics) Delta(prev SessionMetrics) MetricsDelta {
-	pos := func(v int64) int64 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	d := MetricsDelta{
-		Requests:          pos(m.Requests() - prev.Requests()),
-		Failures:          pos(m.Failures() - prev.Failures()),
-		WorkerBusy:        time.Duration(pos(int64(m.WorkerBusy - prev.WorkerBusy))),
-		WorkerTime:        time.Duration(pos(int64(m.WorkerTime - prev.WorkerTime))),
-		QueueDepthSamples: pos(m.QueueDepthSamples - prev.QueueDepthSamples),
-		QueueDepthSum:     pos(m.QueueDepthSum - prev.QueueDepthSum),
-	}
-	return d
-}
-
-// Utilization returns the busy share of worker lifetime within the
-// window, in [0, 1] (0 for an empty window).
-func (d MetricsDelta) Utilization() float64 {
-	if d.WorkerTime <= 0 {
-		return 0
-	}
-	u := float64(d.WorkerBusy) / float64(d.WorkerTime)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// MeanQueueDepth returns the mean depth observed at enqueue time
-// within the window (0 for a window with no enqueues).
-func (d MetricsDelta) MeanQueueDepth() float64 {
-	if d.QueueDepthSamples == 0 {
-		return 0
-	}
-	return float64(d.QueueDepthSum) / float64(d.QueueDepthSamples)
 }
 
 // Metrics snapshots the session's back-pressure counters. It is safe

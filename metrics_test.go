@@ -1,6 +1,7 @@
 package actuary_test
 
 import (
+	"context"
 	"testing"
 
 	"chipletactuary"
@@ -143,5 +144,28 @@ func TestSessionMetricsPerQuestionOrdering(t *testing.T) {
 			t.Errorf("per-question rows out of order: %v before %v",
 				m.PerQuestion[i-1].Question, m.PerQuestion[i].Question)
 		}
+	}
+}
+
+func TestMetricsSnapshotNow(t *testing.T) {
+	s, err := actuary.NewSession(actuary.WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.Evaluate(context.Background(), []actuary.Request{{
+		Question: actuary.QuestionTotalCost,
+		System:   actuary.Monolithic("m", "7nm", 400, 1e6)}})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	snap := actuary.MetricsSnapshotNow(s)
+	if snap.Workers != 3 {
+		t.Errorf("Workers = %d, want 3", snap.Workers)
+	}
+	if snap.Session.Requests() != 1 {
+		t.Errorf("Requests = %d, want 1", snap.Session.Requests())
+	}
+	if snap.Cache.Misses == 0 {
+		t.Error("evaluation left no cache traffic in the snapshot")
 	}
 }

@@ -262,7 +262,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("actuary_worker_busy_seconds_total", "Worker time spent evaluating.", m.WorkerBusy.Seconds())
 	counter("actuary_worker_seconds_total", "Total worker lifetime.", m.WorkerTime.Seconds())
 	gauge("actuary_worker_utilization", "Busy share of worker lifetime, 0-1.", m.Utilization())
-	gauge("actuary_workers", "Worker pool target width.", float64(s.session.Workers()))
+	gauge("actuary_workers", "Worker pool width.", float64(s.session.Workers()))
 
 	if len(m.PerQuestion) > 0 {
 		sorted := append([]actuary.QuestionMetrics(nil), m.PerQuestion...)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 
 	"chipletactuary/internal/cost"
 	"chipletactuary/internal/explore"
@@ -262,9 +261,6 @@ type sessionConfig struct {
 	params       PackagingParams
 	hasParams    bool
 	workers      int
-	minWorkers   int
-	maxWorkers   int
-	hasBounds    bool
 	cacheSize    int
 	hasCacheSz   bool
 	partialsSize int
@@ -288,17 +284,6 @@ func WithPackaging(p PackagingParams) Option {
 // raised to 1.
 func WithWorkers(n int) Option {
 	return func(c *sessionConfig) { c.workers = n }
-}
-
-// WithWorkerBounds makes the worker pool elastic: Session.Resize (and
-// controllers built on it, such as fleet.Resizer) may move the pool
-// width anywhere in [min, max] while streams are running. min must be
-// at least 1 and max at least min. The initial width is the
-// WithWorkers value (or its default) clamped into the bounds. Without
-// this option the pool is fixed at the WithWorkers width and Resize
-// is a no-op at that width.
-func WithWorkerBounds(min, max int) Option {
-	return func(c *sessionConfig) { c.minWorkers, c.maxWorkers, c.hasBounds = min, max, true }
 }
 
 // WithCacheSize bounds the shared known-good-die cost cache (entries,
@@ -340,20 +325,14 @@ type PartialsStats = explore.PartialsStats
 
 // Session is the batch evaluation handle: a technology database and
 // packaging parameter set, a worker pool width, and a shared die-cost
-// cache. Apart from the worker-pool target width — which Resize moves
-// within the WithWorkerBounds range — a Session is immutable after
-// construction and safe for concurrent use; one Session is meant to
-// serve many Evaluate calls.
+// cache. A Session is immutable after construction and safe for
+// concurrent use; one Session is meant to serve many Evaluate calls.
 type Session struct {
-	db        *TechDatabase
-	params    PackagingParams
-	ev        *explore.Evaluator
-	workerMin int
-	workerMax int
-	// workerTarget is the pool width running streams converge to; see
-	// Resize. It always sits inside [workerMin, workerMax].
-	workerTarget atomic.Int64
-	metrics      *sessionMetrics
+	db      *TechDatabase
+	params  PackagingParams
+	ev      *explore.Evaluator
+	workers int
+	metrics *sessionMetrics
 }
 
 // NewSession builds a Session. With no options it uses the built-in
@@ -374,54 +353,17 @@ func NewSession(opts ...Option) (*Session, error) {
 	if cfg.workers < 1 {
 		cfg.workers = 1
 	}
-	if !cfg.hasBounds {
-		// A fixed pool is the degenerate elastic one: min = max = width.
-		cfg.minWorkers, cfg.maxWorkers = cfg.workers, cfg.workers
-	}
-	if cfg.minWorkers < 1 || cfg.maxWorkers < cfg.minWorkers {
-		return nil, fmt.Errorf("actuary: invalid worker bounds [%d, %d] (want 1 ≤ min ≤ max)",
-			cfg.minWorkers, cfg.maxWorkers)
-	}
 	ev, err := explore.NewEvaluatorWithCaches(cfg.db, cfg.params, cfg.cacheSize, cfg.partialsSize)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{db: cfg.db, params: cfg.params, ev: ev,
-		workerMin: cfg.minWorkers, workerMax: cfg.maxWorkers,
-		metrics: &sessionMetrics{}}
-	s.workerTarget.Store(int64(clampWorkers(cfg.workers, cfg.minWorkers, cfg.maxWorkers)))
-	return s, nil
+	return &Session{db: cfg.db, params: cfg.params, ev: ev,
+		workers: cfg.workers, metrics: &sessionMetrics{}}, nil
 }
 
-// clampWorkers clamps a requested width into [min, max].
-func clampWorkers(n, min, max int) int {
-	if n < min {
-		return min
-	}
-	if n > max {
-		return max
-	}
-	return n
-}
-
-// Workers returns the worker pool's current target width.
-func (s *Session) Workers() int { return int(s.workerTarget.Load()) }
-
-// WorkerBounds returns the pool's [min, max] resize range. A fixed
-// pool (no WithWorkerBounds) reports min == max.
-func (s *Session) WorkerBounds() (min, max int) { return s.workerMin, s.workerMax }
-
-// Resize moves the worker pool's target width to n, clamped into the
-// WithWorkerBounds range, and returns the applied value. Running
-// streams converge to the new width: growth spawns workers into live
-// streams within a few milliseconds; shrink retires workers as they
-// finish their current request — no evaluation is abandoned. Safe for
-// concurrent use; the last call wins.
-func (s *Session) Resize(n int) int {
-	n = clampWorkers(n, s.workerMin, s.workerMax)
-	s.workerTarget.Store(int64(n))
-	return n
-}
+// Workers returns the worker pool's width, fixed at construction
+// (see WithWorkers).
+func (s *Session) Workers() int { return s.workers }
 
 // Tech returns the session's technology database.
 func (s *Session) Tech() *TechDatabase { return s.db }

@@ -6,7 +6,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chipletactuary/internal/sweep"
@@ -345,27 +344,6 @@ type streamJob struct {
 // a different slab size simply reallocates on first Get.
 var slabBufPool = sync.Pool{New: func() any { return new([]Request) }}
 
-// elasticTick is how often a running stream reconciles its worker
-// count with the session's target width (see Session.Resize). Growth
-// lands within one tick; shrink lands at each worker's next job
-// boundary. A variable so tests can tighten it.
-var elasticTick = 5 * time.Millisecond
-
-// shrinkPool claims one worker retirement when the live count
-// overshoots the target. At least one worker always survives, so a
-// stream can never strand its queue.
-func shrinkPool(live *atomic.Int64, target int) bool {
-	for {
-		n := live.Load()
-		if n <= int64(target) || n <= 1 {
-			return false
-		}
-		if live.CompareAndSwap(n, n-1) {
-			return true
-		}
-	}
-}
-
 // Stream pulls requests lazily from src, fans them over the session's
 // worker pool, and emits Results on the returned channel as they
 // complete (not in generation order — correlate by Result.Index or
@@ -422,20 +400,6 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 	if cfg.maxWorkers > 0 && cfg.maxWorkers < workers {
 		workers = cfg.maxWorkers
 	}
-	// targetWidth is the width running workers converge to: the
-	// session's live target (moved by Resize) under the stream's own
-	// cap. Fixed-bound sessions never move it.
-	targetWidth := func() int {
-		t := s.Workers()
-		if cfg.maxWorkers > 0 && t > cfg.maxWorkers {
-			t = cfg.maxWorkers
-		}
-		if t < 1 {
-			t = 1
-		}
-		return t
-	}
-	elastic := s.workerMax > s.workerMin
 	// The job queue is measured in requests, not sends: with slabs of
 	// size s it holds inFlight/s jobs, so the in-flight request bound
 	// is the same whatever the slab size.
@@ -491,9 +455,7 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 			}
 		}
 	}
-	pumpDone := make(chan struct{})
 	go func() {
-		defer close(pumpDone)
 		defer close(jobs)
 		pprof.Do(ctx, pprof.Labels("stage", "pump"), func(ctx context.Context) {
 			// Resume: drain the already-delivered prefix without dispatching
@@ -541,15 +503,10 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 	}()
 
 	var wg sync.WaitGroup
-	var live atomic.Int64
 	worker := func() {
 		start := time.Now()
 		metrics.workerStarted(start)
-		retired := false
 		defer func() {
-			if !retired {
-				live.Add(-1)
-			}
 			metrics.workerStopped(start)
 			wg.Done()
 		}()
@@ -586,46 +543,12 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 				}
 				clear(j.slab) // release the request payload references
 				slabBufPool.Put(j.buf)
-				// Elastic shrink lands at job boundaries: the worker retires
-				// after delivering its result(s), never mid-evaluation.
-				if elastic && shrinkPool(&live, targetWidth()) {
-					retired = true
-					return
-				}
 			}
 		})
 	}
-	spawn := func(n int) {
-		for i := 0; i < n; i++ {
-			live.Add(1)
-			wg.Add(1)
-			go worker()
-		}
-	}
-	spawn(workers)
-	if elastic {
-		// The reconciler grows the pool toward the target while the pump
-		// is generating (workers spawned after the queue closes would do
-		// nothing). It sits inside the WaitGroup, so close(out) still
-		// waits for every goroutine the stream started.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(elasticTick)
-			defer tick.Stop()
-			for {
-				select {
-				case <-pumpDone:
-					return
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if n := int64(targetWidth()) - live.Load(); n > 0 {
-						spawn(int(n))
-					}
-				}
-			}
-		}()
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go worker()
 	}
 	go func() {
 		wg.Wait()

@@ -982,15 +982,14 @@ func DecodeResults(data []byte) ([]Result, error) {
 }
 
 // MetricsSnapshot is the GET /v1/metricz payload: the session's
-// back-pressure counters, current worker width and KGD cache counters
+// back-pressure counters, worker pool width and KGD cache counters
 // as one canonical-JSON document — the programmatic face of the
 // Prometheus text GET /metrics serves, and the preferred probe of
 // fleet.Monitor.
 type MetricsSnapshot struct {
 	// Session is the back-pressure snapshot (Session.Metrics).
 	Session SessionMetrics
-	// Workers is the pool's current target width (Session.Workers) —
-	// live, so an elastic daemon's resizes are observable.
+	// Workers is the pool's width (Session.Workers).
 	Workers int
 	// Cache is the shared KGD cache's counters (Session.CacheStats).
 	Cache KGDCacheStats
